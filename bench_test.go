@@ -352,6 +352,7 @@ func BenchmarkTrieInsert(b *testing.B) {
 func BenchmarkSanitizeTrace(b *testing.B) {
 	e := benchEnv(b)
 	traces := e.Dataset.Traces
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, res := trace.Sanitize(traces[i%len(traces)])
@@ -442,8 +443,8 @@ func BenchmarkBinaryDecodeParallel(b *testing.B) {
 // segment files are merged back into evidence. A sampler goroutine
 // tracks peak heap throughout; the benchmark fails if it crosses the
 // 512 MiB ceiling — the bound that makes corpus size irrelevant to
-// ingest memory. CI runs this with -benchtime=1x into BENCH_oocore.json
-// (bytes/op ≈ traces per iteration, so MB/s reads as Mtraces/s).
+// ingest memory. CI runs this with -benchtime=1x into BENCH_oocore.json;
+// throughput is reported as traces/s.
 func BenchmarkIngestSpill(b *testing.B) {
 	const (
 		targetTraces = 10_000_000
@@ -504,7 +505,6 @@ func BenchmarkIngestSpill(b *testing.B) {
 		if err := c.Close(); err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(n)
 	}
 	b.StopTimer()
 	close(stop)
@@ -519,6 +519,7 @@ func BenchmarkIngestSpill(b *testing.B) {
 	if p := peak.Load(); p > heapCeiling {
 		b.Fatalf("peak heap %d B exceeds the %d B ceiling", p, int64(heapCeiling))
 	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "traces/s")
 	b.ReportMetric(float64(peak.Load()), "peak-heap-B")
 	b.ReportMetric(float64(st.SpilledBytes), "spilled-B")
 	b.ReportMetric(float64(st.Files), "spill-files")

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"runtime"
 	"slices"
 	"sync"
@@ -28,7 +27,7 @@ const (
 // Collector produces for the same traces, in any worker configuration.
 //
 // With a SpillConfig (NewParallelCollectorSpill), shard owners spill
-// their adjacency sets and workers spill their address sets to columnar
+// their adjacency sets and workers spill their address-flag sets to columnar
 // disk segments under the shared budget, and finalisation becomes a
 // bounded-memory external merge — still byte-identical, for any spill
 // threshold, worker count, or segment size (DESIGN.md §11).
@@ -41,11 +40,10 @@ type ParallelCollector struct {
 	added   int
 
 	// Persistent state, merged under mu when workers retire.
-	mu            sync.Mutex
-	shards        []map[trace.Adjacency]struct{}
-	allAddrs      inet.AddrSet
-	retainedAddrs inet.AddrSet
-	stats         trace.Stats
+	mu     sync.Mutex
+	shards []map[trace.Adjacency]struct{}
+	addrs  addrFlags
+	stats  trace.Stats
 	// monitors is the opt-in per-vantage-point attribution (see
 	// TrackMonitors): workers accumulate locally and merge here at
 	// retirement. Nil when tracking is off. Never spills.
@@ -87,11 +85,10 @@ func NewParallelCollectorSpill(workers int, cfg SpillConfig) *ParallelCollector 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	c := &ParallelCollector{
-		workers:       workers,
-		shards:        make([]map[trace.Adjacency]struct{}, workers),
-		allAddrs:      make(inet.AddrSet),
-		retainedAddrs: make(inet.AddrSet),
-		sortScratch:   make([][]trace.Adjacency, workers),
+		workers:     workers,
+		shards:      make([]map[trace.Adjacency]struct{}, workers),
+		addrs:       make(addrFlags),
+		sortScratch: make([][]trace.Adjacency, workers),
 	}
 	for i := range c.shards {
 		c.shards[i] = make(map[trace.Adjacency]struct{})
@@ -103,7 +100,7 @@ func NewParallelCollectorSpill(workers int, cfg SpillConfig) *ParallelCollector 
 			c.shardSpillers[i] = newSpiller(c.spill)
 		}
 		// Split the byte budget half to the adjacency shards, half to
-		// the workers' address sets, evenly within each side.
+		// the workers' address-flag sets, evenly within each side.
 		c.shardLimit = cfg.MemBudget / 2 / int64(len(c.shards))
 		c.workerLimit = cfg.MemBudget / 2 / int64(workers)
 	}
@@ -177,14 +174,13 @@ func (c *ParallelCollector) drain() {
 }
 
 // sanitizeWorker consumes trace batches, sanitises each trace, and
-// routes its adjacencies to the owning shard. Address sets and
+// routes its adjacencies to the owning shard. The address-flag set and
 // statistics accumulate worker-locally; at retirement they merge into
 // the globals, or — in out-of-core mode — flush to the worker's own
 // spill segment so the resident set stays bounded.
 func (c *ParallelCollector) sanitizeWorker() {
 	defer c.sanWG.Done()
-	allAddrs := make(inet.AddrSet)
-	retainedAddrs := make(inet.AddrSet)
+	addrs := make(addrFlags)
 	var stats trace.Stats
 	var monitors map[string]*monitorAcc
 	if c.monitors != nil {
@@ -198,19 +194,11 @@ func (c *ParallelCollector) sanitizeWorker() {
 	}
 	for batch := range c.tracesCh {
 		for _, t := range batch {
-			stats.TotalTraces++
-			for _, h := range t.Hops {
-				if h.Responded() {
-					allAddrs.Add(h.Addr)
-				}
-			}
-			clean, res := trace.Sanitize(t)
-			stats.RemovedHops += res.RemovedHops
-			if res.Discarded {
-				stats.DiscardedTraces++
+			var kept bool
+			scratch, kept = collectTrace(t, addrs, &stats, scratch)
+			if !kept {
 				continue
 			}
-			scratch = trace.Adjacencies(clean, scratch[:0])
 			if monitors != nil {
 				recordMonitor(monitors, t.Monitor, scratch)
 			}
@@ -222,19 +210,9 @@ func (c *ParallelCollector) sanitizeWorker() {
 					bufs[s] = make([]trace.Adjacency, 0, adjBatchSize)
 				}
 			}
-			for _, h := range clean.Hops {
-				if h.Responded() {
-					retainedAddrs.Add(h.Addr)
-				}
-			}
 		}
-		if sp != nil && c.addrsOverLimit(allAddrs, retainedAddrs) {
-			if sp.flushAddrSet(allAddrs, streamAll) {
-				allAddrs = make(inet.AddrSet)
-			}
-			if sp.flushAddrSet(retainedAddrs, streamRet) {
-				retainedAddrs = make(inet.AddrSet)
-			}
+		if sp != nil && c.addrsOverLimit(addrs) && sp.flushAddrFlags(addrs) {
+			addrs = make(addrFlags)
 		}
 	}
 	for s, buf := range bufs {
@@ -242,26 +220,21 @@ func (c *ParallelCollector) sanitizeWorker() {
 			c.shardCh[s] <- buf
 		}
 	}
-	if sp != nil {
-		// Retirement flush: in out-of-core mode the globals must not
-		// accumulate per-worker sets. A failed flush (sticky sink error)
-		// falls through to the global merge — finalisation will report
-		// the error, and the data is not silently lost meanwhile.
-		if sp.flushAddrSet(allAddrs, streamAll) {
-			allAddrs = nil
-		}
-		if sp.flushAddrSet(retainedAddrs, streamRet) {
-			retainedAddrs = nil
-		}
+	// Retirement flush: in out-of-core mode the globals must not
+	// accumulate per-worker sets. A failed flush (sticky sink error)
+	// falls through to the global merge — finalisation will report the
+	// error, and the data is not silently lost meanwhile.
+	if sp != nil && sp.flushAddrFlags(addrs) {
+		addrs = nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for a := range allAddrs {
-		c.allAddrs.Add(a)
+	// Merge the smaller set into the larger: the first worker to retire
+	// hands its set over whole.
+	if len(addrs) > len(c.addrs) {
+		c.addrs, addrs = addrs, c.addrs
 	}
-	for a := range retainedAddrs {
-		c.retainedAddrs.Add(a)
-	}
+	c.addrs.merge(addrs)
 	for name, acc := range monitors {
 		dst := c.monitors[name]
 		if dst == nil {
@@ -279,12 +252,12 @@ func (c *ParallelCollector) sanitizeWorker() {
 }
 
 // addrsOverLimit applies the worker-share budget (or the RunEntries
-// testing knob) to a worker's address sets.
-func (c *ParallelCollector) addrsOverLimit(all, ret inet.AddrSet) bool {
+// testing knob) to a worker's address-flag set.
+func (c *ParallelCollector) addrsOverLimit(addrs addrFlags) bool {
 	if n := c.spill.cfg.RunEntries; n > 0 {
-		return len(all) >= n || len(ret) >= n
+		return len(addrs) >= n
 	}
-	return int64(len(all)+len(ret))*addrEntryCost > c.workerLimit
+	return int64(len(addrs))*addrEntryCost > c.workerLimit
 }
 
 // shardOwner deduplicates the adjacency batches routed to shard i. Each
@@ -343,10 +316,9 @@ func (c *ParallelCollector) Finish() (*Evidence, error) {
 		}
 		return c.evidenceInMemory(sorted), nil
 	}
+	allRes, retRes := c.addrs.sortedRuns(nil, nil)
 	ev, err := c.spill.mergeEvidence(sorted,
-		[][]inet.Addr{sortedAddrs(c.allAddrs)},
-		[][]inet.Addr{sortedAddrs(c.retainedAddrs)},
-		c.stats)
+		[][]inet.Addr{allRes}, [][]inet.Addr{retRes}, c.stats)
 	if err != nil {
 		return nil, err
 	}
@@ -410,11 +382,12 @@ func (c *ParallelCollector) evidenceInMemory(sorted [][]trace.Adjacency) *Eviden
 	if err := mergeDedup(srcs, adjacencyCmp, func(a trace.Adjacency) { adjs = append(adjs, a) }); err != nil {
 		panic("core: in-memory merge failed: " + err.Error())
 	}
+	all, retained := c.addrs.evidenceSet()
 	stats := c.stats
-	stats.DistinctAddrs = len(c.allAddrs)
-	stats.RetainedAddrs = len(c.retainedAddrs)
+	stats.DistinctAddrs = len(all)
+	stats.RetainedAddrs = retained
 	return &Evidence{
-		AllAddrs:    maps.Clone(c.allAddrs),
+		AllAddrs:    all,
 		Adjacencies: adjs,
 		Stats:       stats,
 		Monitors:    monitorEvidence(c.monitors),

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"maps"
 	"slices"
 	"strings"
 
@@ -92,11 +91,10 @@ func EvidenceFrom(s *trace.Sanitized) *Evidence {
 // segments under a memory budget and Finish merges them back —
 // byte-identical to the in-memory result.
 type Collector struct {
-	allAddrs      inet.AddrSet
-	retainedAddrs inet.AddrSet
-	adjacencies   map[trace.Adjacency]struct{}
-	stats         trace.Stats
-	scratch       []trace.Adjacency
+	addrs       addrFlags
+	adjacencies map[trace.Adjacency]struct{}
+	stats       trace.Stats
+	scratch     []trace.Adjacency
 
 	// sortScratch is the reusable key-extraction/sort buffer of the
 	// in-memory Evidence path; the returned evidence never aliases it.
@@ -115,9 +113,8 @@ type Collector struct {
 // NewCollector returns an empty in-memory collector.
 func NewCollector() *Collector {
 	return &Collector{
-		allAddrs:      make(inet.AddrSet),
-		retainedAddrs: make(inet.AddrSet),
-		adjacencies:   make(map[trace.Adjacency]struct{}),
+		addrs:       make(addrFlags),
+		adjacencies: make(map[trace.Adjacency]struct{}),
 	}
 }
 
@@ -147,29 +144,16 @@ func (c *Collector) TrackMonitors() {
 // Add sanitises one trace (§4.1) and accumulates its evidence. It
 // reports whether the trace was retained.
 func (c *Collector) Add(t trace.Trace) bool {
-	c.stats.TotalTraces++
-	for _, h := range t.Hops {
-		if h.Responded() {
-			c.allAddrs.Add(h.Addr)
-		}
-	}
-	clean, res := trace.Sanitize(t)
-	c.stats.RemovedHops += res.RemovedHops
-	if res.Discarded {
-		c.stats.DiscardedTraces++
+	var kept bool
+	c.scratch, kept = collectTrace(t, c.addrs, &c.stats, c.scratch)
+	if !kept {
 		return false
 	}
-	c.scratch = trace.Adjacencies(clean, c.scratch[:0])
 	for _, adj := range c.scratch {
 		c.adjacencies[adj] = struct{}{}
 	}
 	if c.monitors != nil {
 		recordMonitor(c.monitors, t.Monitor, c.scratch)
-	}
-	for _, h := range clean.Hops {
-		if h.Responded() {
-			c.retainedAddrs.Add(h.Addr)
-		}
 	}
 	c.maybeSpill()
 	return true
@@ -190,27 +174,20 @@ func (c *Collector) maybeSpill() {
 		if len(c.adjacencies) >= n && sp.flushAdjSet(c.adjacencies) {
 			c.adjacencies = make(map[trace.Adjacency]struct{})
 		}
-		if len(c.allAddrs) >= n && sp.flushAddrSet(c.allAddrs, streamAll) {
-			c.allAddrs = make(inet.AddrSet)
-		}
-		if len(c.retainedAddrs) >= n && sp.flushAddrSet(c.retainedAddrs, streamRet) {
-			c.retainedAddrs = make(inet.AddrSet)
+		if len(c.addrs) >= n && sp.flushAddrFlags(c.addrs) {
+			c.addrs = make(addrFlags)
 		}
 		return
 	}
-	est := int64(len(c.adjacencies))*adjEntryCost +
-		int64(len(c.allAddrs)+len(c.retainedAddrs))*addrEntryCost
+	est := int64(len(c.adjacencies))*adjEntryCost + int64(len(c.addrs))*addrEntryCost
 	if est <= cfg.MemBudget {
 		return
 	}
 	if sp.flushAdjSet(c.adjacencies) {
 		c.adjacencies = make(map[trace.Adjacency]struct{})
 	}
-	if sp.flushAddrSet(c.allAddrs, streamAll) {
-		c.allAddrs = make(inet.AddrSet)
-	}
-	if sp.flushAddrSet(c.retainedAddrs, streamRet) {
-		c.retainedAddrs = make(inet.AddrSet)
+	if sp.flushAddrFlags(c.addrs) {
+		c.addrs = make(addrFlags)
 	}
 }
 
@@ -218,7 +195,7 @@ func (c *Collector) maybeSpill() {
 // the sanitiser.
 func (c *Collector) addSanitized(s *trace.Sanitized) {
 	for a := range s.AllAddrs {
-		c.allAddrs.Add(a)
+		c.addrs[a] |= flagSeen
 	}
 	for _, t := range s.Retained {
 		c.scratch = trace.Adjacencies(t, c.scratch[:0])
@@ -230,7 +207,7 @@ func (c *Collector) addSanitized(s *trace.Sanitized) {
 		}
 		for _, h := range t.Hops {
 			if h.Responded() {
-				c.retainedAddrs.Add(h.Addr)
+				c.addrs[h.Addr] |= flagSeen | flagRetained
 			}
 		}
 	}
@@ -269,10 +246,10 @@ func (c *Collector) Finish() (*Evidence, error) {
 		return c.evidenceInMemory(), nil
 	}
 	adjRes := c.sortedAdjResidue()
+	allRes, retRes := c.addrs.sortedRuns(nil, nil)
 	ev, err := c.spill.sink.mergeEvidence(
 		[][]trace.Adjacency{adjRes},
-		[][]inet.Addr{sortedAddrs(c.allAddrs)},
-		[][]inet.Addr{sortedAddrs(c.retainedAddrs)},
+		[][]inet.Addr{allRes}, [][]inet.Addr{retRes},
 		c.stats)
 	if err != nil {
 		return nil, err
@@ -311,11 +288,12 @@ func (c *Collector) evidenceInMemory() *Evidence {
 	slices.SortFunc(c.sortScratch, adjacencyCmp)
 	adjs := make([]trace.Adjacency, len(c.sortScratch))
 	copy(adjs, c.sortScratch)
+	all, retained := c.addrs.evidenceSet()
 	stats := c.stats
-	stats.DistinctAddrs = len(c.allAddrs)
-	stats.RetainedAddrs = len(c.retainedAddrs)
+	stats.DistinctAddrs = len(all)
+	stats.RetainedAddrs = retained
 	return &Evidence{
-		AllAddrs:    maps.Clone(c.allAddrs),
+		AllAddrs:    all,
 		Adjacencies: adjs,
 		Stats:       stats,
 		Monitors:    monitorEvidence(c.monitors),
@@ -331,6 +309,83 @@ func (c *Collector) sortedAdjResidue() []trace.Adjacency {
 	}
 	slices.SortFunc(c.sortScratch, adjacencyCmp)
 	return c.sortScratch
+}
+
+// addrFlags is a collector's address evidence: one entry per address
+// seen on any trace, flagged flagSeen, with flagRetained added once the
+// address responds on a trace that survives sanitisation. AllAddrs is
+// the key set and the retained count is the flagRetained population,
+// so each hop costs one map operation where two address sets cost two.
+type addrFlags map[inet.Addr]uint8
+
+const (
+	flagSeen uint8 = 1 << iota
+	flagRetained
+)
+
+// collectTrace is the per-trace step every collector shares: it
+// sanitises t (§4.1), counts it in stats, flags its responding
+// addresses in flags, and — when the trace is retained — returns its
+// adjacencies in scratch (reused, truncated first).
+func collectTrace(t trace.Trace, flags addrFlags, stats *trace.Stats,
+	scratch []trace.Adjacency) ([]trace.Adjacency, bool) {
+	stats.TotalTraces++
+	clean, res := trace.Sanitize(t)
+	stats.RemovedHops += res.RemovedHops
+	// Sanitize replaces a removed hop with a null hop at the same index,
+	// so clean and t stay aligned: a hop is retained iff its trace
+	// survives and it still responds in clean.
+	for i, h := range t.Hops {
+		if h.Responded() {
+			f := flagSeen
+			if !res.Discarded && clean.Hops[i].Responded() {
+				f |= flagRetained
+			}
+			flags[h.Addr] |= f
+		}
+	}
+	if res.Discarded {
+		stats.DiscardedTraces++
+		return scratch[:0], false
+	}
+	return trace.Adjacencies(clean, scratch[:0]), true
+}
+
+// merge ORs src's flags into f.
+func (f addrFlags) merge(src addrFlags) {
+	for a, fl := range src {
+		f[a] |= fl
+	}
+}
+
+// evidenceSet returns the finalised AllAddrs set (a fresh map) and the
+// number of retained addresses.
+func (f addrFlags) evidenceSet() (inet.AddrSet, int) {
+	set := make(inet.AddrSet, len(f))
+	retained := 0
+	for a, fl := range f {
+		set[a] = struct{}{}
+		if fl&flagRetained != 0 {
+			retained++
+		}
+	}
+	return set, retained
+}
+
+// sortedRuns splits f into the two sorted address runs of the spill
+// format — every address (streamAll) and the retained ones (streamRet)
+// — appending to all and ret from length zero.
+func (f addrFlags) sortedRuns(all, ret []inet.Addr) ([]inet.Addr, []inet.Addr) {
+	all, ret = all[:0], ret[:0]
+	for a, fl := range f {
+		all = append(all, a)
+		if fl&flagRetained != 0 {
+			ret = append(ret, a)
+		}
+	}
+	slices.Sort(all)
+	slices.Sort(ret)
+	return all, ret
 }
 
 // adjacencyCmp orders adjacencies by (First, Second) — the canonical

@@ -64,8 +64,9 @@ func (m *memoIP2AS) Lookup(a inet.Addr) (inet.ASN, bool) {
 // primeParallel resolves a deduplicated address worklist through the
 // source across workers goroutines (each writes a disjoint slice range
 // — no locks, deterministic output), then commits the results into the
-// memo serially. Returns the resolved ASNs index-aligned with addrs;
-// zero means unannounced.
+// memo serially (an empty memo is first sized for the worklist).
+// Returns the resolved ASNs index-aligned with addrs; zero means
+// unannounced.
 func (m *memoIP2AS) primeParallel(addrs []inet.Addr, workers int) []inet.ASN {
 	asns := make([]inet.ASN, len(addrs))
 	oks := make([]bool, len(addrs))
@@ -74,6 +75,9 @@ func (m *memoIP2AS) primeParallel(addrs []inet.Addr, workers int) []inet.ASN {
 			asns[i], oks[i] = m.src.Lookup(addrs[i])
 		}
 	})
+	if len(m.m) == 0 {
+		m.m = make(map[inet.Addr]memoHit, len(addrs))
+	}
 	for i, a := range addrs {
 		m.m[a] = memoHit{asn: asns[i], ok: oks[i]}
 	}

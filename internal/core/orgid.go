@@ -197,11 +197,11 @@ func (st *runState) buildIndex() {
 				}
 			}
 			for _, d := range [2]Direction{Forward, Backward} {
-				var nbrs []inet.Addr
-				if d == Forward {
-					nbrs = st.nbrF[a]
-				} else {
-					nbrs = st.nbrB[a]
+				// readers holds the opposite-side lists, where each
+				// neighbour's own election operands live.
+				nbrs, readers := st.nbrF[i], st.nbrB
+				if d == Backward {
+					nbrs, readers = st.nbrB[i], st.nbrF
 				}
 				slot := 2*(i-lo) + int(d)
 				if len(nbrs) >= 2 { // eligible: election operand
@@ -224,14 +224,8 @@ func (st *runState) buildIndex() {
 					// The reader half is eligible iff its own
 					// neighbour list (opposite side of nb) has ≥ 2
 					// members.
-					var readerNbrs []inet.Addr
-					if d == Forward {
-						readerNbrs = st.nbrB[nb]
-					} else {
-						readerNbrs = st.nbrF[nb]
-					}
-					if len(readerNbrs) >= 2 {
-						p.depFlat = append(p.depFlat, halfSlot(ix.idxOfAddr[nb], d.Opposite()))
+					if ni := ix.idxOfAddr[nb]; len(readers[ni]) >= 2 {
+						p.depFlat = append(p.depFlat, halfSlot(ni, d.Opposite()))
 						p.depCnt[slot]++
 					}
 				}
@@ -287,7 +281,6 @@ func (st *runState) buildIndex() {
 	for w := range st.electScr {
 		st.electScr[w].ensure(ix.orgCount, len(ix.asnOf))
 	}
-	st.infBlock = make([]directInf, 0, infSlabBlock)
 	st.demoteBuf = make([]int32, 0, 64)
 	st.purgeBuf = make([]Half, 0, 64)
 	// Re-make the inference maps with real capacity now that the

@@ -233,10 +233,10 @@ func TestComponentElectionInputsMatchGlobal(t *testing.T) {
 	for ci, comp := range comps {
 		st := newRunState(&cfg, comp)
 		for _, a := range st.addrs {
-			if !reflect.DeepEqual(st.nbrF[a], global.nbrF[a]) {
+			if !reflect.DeepEqual(st.neighbors(Half{a, Forward}), global.neighbors(Half{a, Forward})) {
 				t.Fatalf("component %d: N_F(%v) diverges from global", ci, a)
 			}
-			if !reflect.DeepEqual(st.nbrB[a], global.nbrB[a]) {
+			if !reflect.DeepEqual(st.neighbors(Half{a, Backward}), global.neighbors(Half{a, Backward})) {
 				t.Fatalf("component %d: N_B(%v) diverges from global", ci, a)
 			}
 			if st.otherSide[a] != global.otherSide[a] {

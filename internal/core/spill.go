@@ -12,11 +12,12 @@ import (
 )
 
 // Out-of-core evidence store (DESIGN.md §11). The collectors' dedup
-// structures — the adjacency set and the two address sets — are the
+// structures — the adjacency set and the address-flag set — are the
 // only ingest state that grows with corpus size. When a memory budget
-// is configured, a collector flushes each structure as a sorted,
-// duplicate-free *run* into a columnar spill segment (trace.Segment*)
-// whenever its estimated resident cost crosses the budget, and
+// is configured, a collector flushes each structure as sorted,
+// duplicate-free *runs* into a columnar spill segment (trace.Segment*)
+// whenever its estimated resident cost crosses the budget (the flag
+// set splits into one all-addresses run and one retained run), and
 // finalisation k-way merges the spilled runs with the in-memory residue
 // (mergeDedup) into evidence byte-identical to the in-memory path: the
 // output is the sorted union of the runs, and the union is determined
@@ -46,12 +47,14 @@ func (c SpillConfig) enabled() bool { return c.MemBudget > 0 || c.RunEntries > 0
 
 // Estimated resident bytes per entry of the dedup structures: a
 // map[Adjacency]struct{} entry (8-byte key plus bucket overhead) and an
-// AddrSet entry (4-byte key plus overhead). Deliberately rough — the
-// budget is a ceiling on an estimate, and the benchmark asserts the
-// real heap stays under the configured ceiling end to end.
+// address-flag entry (4-byte key and 1-byte flags padded to an 8-byte
+// slot, plus overhead — the cost of one entry in each of two address
+// sets). Deliberately rough — the budget is a ceiling on an estimate,
+// and the benchmark asserts the real heap stays under the configured
+// ceiling end to end.
 const (
 	adjEntryCost  = 56
-	addrEntryCost = 48
+	addrEntryCost = 96
 )
 
 // SpillStats counts out-of-core activity for one collector. All fields
@@ -205,10 +208,12 @@ type spillFile struct {
 type spiller struct {
 	sink *spillSink
 	file *spillFile
-	// adjScratch / addrScratch are the reusable sort buffers runs are
-	// staged through; nothing retains them past the Append call.
+	// adjScratch / addrScratch / retScratch are the reusable sort
+	// buffers runs are staged through; nothing retains them past the
+	// Append call.
 	adjScratch  []trace.Adjacency
 	addrScratch []inet.Addr
+	retScratch  []inet.Addr
 }
 
 func newSpiller(sink *spillSink) *spiller { return &spiller{sink: sink} }
@@ -253,22 +258,28 @@ func (sp *spiller) flushAdjSet(set map[trace.Adjacency]struct{}) bool {
 	return true
 }
 
-// flushAddrSet writes the set as one sorted address run into the given
-// stream, reporting whether it was spilled.
-func (sp *spiller) flushAddrSet(set inet.AddrSet, stream int) bool {
-	if len(set) == 0 || sp.sink.failed() != nil {
+// flushAddrFlags writes an address-flag set as two sorted runs — every
+// address into streamAll, the retained ones into streamRet — and
+// reports whether both were spilled (the caller must then discard the
+// set). An empty set, or any write failure, leaves the set in memory;
+// a failure is sticky, so finalisation reports it.
+func (sp *spiller) flushAddrFlags(flags addrFlags) bool {
+	if len(flags) == 0 || sp.sink.failed() != nil {
 		return false
 	}
+	sp.addrScratch, sp.retScratch = flags.sortedRuns(sp.addrScratch, sp.retScratch)
+	return sp.appendAddrRun(sp.addrScratch, streamAll) &&
+		(len(sp.retScratch) == 0 || sp.appendAddrRun(sp.retScratch, streamRet))
+}
+
+// appendAddrRun writes one sorted, duplicate-free address run into the
+// given stream, reporting whether it was written.
+func (sp *spiller) appendAddrRun(sorted []inet.Addr, stream int) bool {
 	sf, err := sp.ensureFile()
 	if err != nil {
 		return false
 	}
-	sp.addrScratch = sp.addrScratch[:0]
-	for a := range set {
-		sp.addrScratch = append(sp.addrScratch, a)
-	}
-	slices.Sort(sp.addrScratch)
-	run, err := sf.sw.AppendAddrRun(sp.addrScratch)
+	run, err := sf.sw.AppendAddrRun(sorted)
 	if err != nil {
 		sp.sink.fail(err)
 		return false
@@ -408,14 +419,4 @@ func (s *spillSink) mergeEvidence(adjRes [][]trace.Adjacency, allRes, retRes [][
 	s.stats.Merges++
 	s.mu.Unlock()
 	return &Evidence{AllAddrs: allAddrs, Adjacencies: adjs, Stats: stats}, nil
-}
-
-// sortedAddrs extracts and sorts a set's keys (a merge residue).
-func sortedAddrs(set inet.AddrSet) []inet.Addr {
-	out := make([]inet.Addr, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	slices.Sort(out)
-	return out
 }

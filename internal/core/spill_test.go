@@ -381,7 +381,8 @@ func TestSpillSegmentDamage(t *testing.T) {
 	adjSet := map[trace.Adjacency]struct{}{
 		{First: 10, Second: 11}: {}, {First: 12, Second: 13}: {},
 	}
-	addrSet := inet.AddrSet{21: {}, 22: {}, 23: {}}
+	addrRun := []inet.Addr{21, 22, 23}
+	addrSet := addrFlags{21: flagSeen, 22: flagSeen | flagRetained, 23: flagSeen}
 
 	t.Run("adj-run-truncated", func(t *testing.T) {
 		sink, sp := newParty(t)
@@ -405,7 +406,7 @@ func TestSpillSegmentDamage(t *testing.T) {
 	t.Run("addr-run-truncated", func(t *testing.T) {
 		for _, stream := range []int{streamAll, streamRet} {
 			sink, sp := newParty(t)
-			if !sp.flushAddrSet(addrSet, stream) {
+			if !sp.appendAddrRun(addrRun, stream) {
 				t.Fatal("flush failed")
 			}
 			if err := sp.file.sw.Flush(); err != nil {
@@ -458,7 +459,7 @@ func TestSpillSegmentDamage(t *testing.T) {
 	t.Run("flush-after-failure-is-noop", func(t *testing.T) {
 		sink, sp := newParty(t)
 		sink.fail(errors.New("boom"))
-		if sp.flushAdjSet(adjSet) || sp.flushAddrSet(addrSet, streamAll) {
+		if sp.flushAdjSet(adjSet) || sp.flushAddrFlags(addrSet) {
 			t.Error("flush reported success on a failed sink")
 		}
 		if sink.spilled() {

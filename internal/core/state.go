@@ -31,14 +31,16 @@ type runState struct {
 	ip2as *memoIP2AS
 
 	// Immutable after build.
-	observed  inet.AddrSet              // every address seen in any trace
-	otherSide map[inet.Addr]inet.Addr   // §4.2 pairing
-	nbrF      map[inet.Addr][]inet.Addr // N_F, sorted unique
-	nbrB      map[inet.Addr][]inet.Addr // N_B, sorted unique
-	baseAS    map[inet.Addr]inet.ASN    // original IP2AS (0 = unannounced)
+	observed  inet.AddrSet            // every address seen in any trace
+	otherSide map[inet.Addr]inet.Addr // §4.2 pairing
+	baseAS    map[inet.Addr]inet.ASN  // original IP2AS (0 = unannounced)
 	ixpAddr   map[inet.Addr]bool
-	halves    []Half // |N| ≥ 2 halves in deterministic order
-	addrs     []inet.Addr
+	halves    []Half      // |N| ≥ 2 halves in deterministic order
+	addrs     []inet.Addr // interface universe, sorted; index = addrIdx
+	// nbrF / nbrB are N_F and N_B by addrIdx, each list sorted and
+	// unique: capacity-clipped windows into one flat array per side
+	// (see neighborLists).
+	nbrF, nbrB [][]inet.Addr
 
 	// Inference state. overrides is the committed per-half IP2AS view;
 	// mutations during a pass are buffered and applied at pass end so
@@ -162,16 +164,11 @@ func (st *runState) newDirectInf(d directInf) *directInf {
 }
 
 func newRunState(cfg *Config, ev *Evidence) *runState {
+	// The inference maps are sized and made by buildIndex, once the
+	// eligible-half count is known.
 	st := &runState{
-		cfg:       cfg,
-		nbrF:      make(map[inet.Addr][]inet.Addr),
-		nbrB:      make(map[inet.Addr][]inet.Addr),
-		baseAS:    make(map[inet.Addr]inet.ASN),
-		ixpAddr:   make(map[inet.Addr]bool),
-		direct:    make(map[Half]*directInf),
-		indirect:  make(map[Half]Half),
-		overrides: make(map[Half]inet.ASN),
-		severed:   make(map[inet.Addr]bool),
+		cfg:     cfg,
+		severed: make(map[inet.Addr]bool),
 	}
 	workers := cfg.workers()
 	st.observed = ev.AllAddrs
@@ -207,60 +204,47 @@ func newRunState(cfg *Config, ev *Evidence) *runState {
 		st.diag.Slash31Fraction = float64(n31) / float64(len(ev.AllAddrs))
 	}
 
-	// Neighbour sets from the unique adjacencies (§4.3); Evidence
-	// adjacencies arrive sorted and deduplicated, so the per-address
-	// lists inherit both properties.
-	for _, adj := range ev.Adjacencies {
-		st.nbrF[adj.First] = append(st.nbrF[adj.First], adj.Second)
-		st.nbrB[adj.Second] = append(st.nbrB[adj.Second], adj.First)
+	// Neighbour sets from the unique adjacencies (§4.3). Evidence
+	// adjacencies arrive sorted by (First, Second) and deduplicated, so
+	// N_F(a) is the run of Seconds under First a; N_B comes the same way
+	// from one sorted reversed copy. Both sides work on pairs packed as
+	// key<<32 | member. The forward sort only confirms the order every
+	// collector already produces (pdqsort finishes sorted input in one
+	// linear pass).
+	fwd := make([]uint64, len(ev.Adjacencies))
+	back := make([]uint64, len(ev.Adjacencies))
+	for i, adj := range ev.Adjacencies {
+		fwd[i] = uint64(adj.First)<<32 | uint64(adj.Second)
+		back[i] = uint64(adj.Second)<<32 | uint64(adj.First)
 	}
-	// nbrF inherits (First, Second) order; nbrB needs a re-sort on the
-	// first element's partner. The lists are independent, so they sort
-	// in place in parallel.
-	backLists := make([][]inet.Addr, 0, len(st.nbrB))
-	for _, list := range st.nbrB {
-		backLists = append(backLists, list)
-	}
-	parallelChunks(len(backLists), workers, func(_, lo, hi int) {
-		for _, list := range backLists[lo:hi] {
-			slices.Sort(list)
-		}
-	})
+	slices.Sort(fwd)
+	slices.Sort(back)
 
-	// Interface universe: every address with a neighbour on either side.
-	seen := make(map[inet.Addr]bool, len(st.nbrF)+len(st.nbrB))
-	addAddr := func(a inet.Addr) {
-		if !seen[a] {
-			seen[a] = true
-			st.addrs = append(st.addrs, a)
-		}
-	}
-	for a := range st.nbrF {
-		addAddr(a)
-	}
-	for a := range st.nbrB {
-		addAddr(a)
-	}
+	// Interface universe: every address with a neighbour on either side
+	// — the sorted union of the two sides' keys.
+	st.addrs = appendPairKeys(make([]inet.Addr, 0, 2*len(ev.Adjacencies)), fwd)
+	st.addrs = appendPairKeys(st.addrs, back)
+	slices.Sort(st.addrs)
+	st.addrs = slices.Clip(slices.Compact(st.addrs))
+	st.diag.Interfaces = len(st.addrs)
+	st.nbrF = neighborLists(fwd, st.addrs)
+	st.nbrB = neighborLists(back, st.addrs)
+
 	// Neighbour members also need base mappings: each interface address
 	// plus its putative other side. The LPM and IXP lookups are
 	// read-only (the sources are frozen by RunEvidence) and dominate
 	// this phase, so they shard over a deduplicated worklist into
 	// aligned slices; the map fill — and the memo commit — stays
 	// serial.
-	work := make([]inet.Addr, 0, 2*len(st.addrs))
-	queued := make(map[inet.Addr]bool, 2*len(st.addrs))
-	enqueue := func(a inet.Addr) {
-		if !queued[a] {
-			queued[a] = true
-			work = append(work, a)
-		}
-	}
+	work := make([]inet.Addr, len(st.addrs), 2*len(st.addrs))
+	copy(work, st.addrs)
 	for _, a := range st.addrs {
-		enqueue(a)
 		if ov, ok := st.otherSide[a]; ok {
-			enqueue(ov)
+			work = append(work, ov)
 		}
 	}
+	slices.Sort(work)
+	work = slices.Compact(work)
 	st.ip2as = newMemoIP2AS(cfg.IP2AS)
 	asns := st.ip2as.primeParallel(work, workers)
 	isIXP := make([]bool, len(work))
@@ -269,14 +253,20 @@ func newRunState(cfg *Config, ev *Evidence) *runState {
 			isIXP[i] = cfg.IXP.IsIXPAddr(work[i]) || cfg.IXP.IsIXPASN(asns[i])
 		}
 	})
+	nIXP := 0
+	for _, ixp := range isIXP {
+		if ixp {
+			nIXP++
+		}
+	}
+	st.baseAS = make(map[inet.Addr]inet.ASN, len(work))
+	st.ixpAddr = make(map[inet.Addr]bool, nIXP)
 	for i, a := range work {
 		st.baseAS[a] = asns[i]
 		if isIXP[i] {
 			st.ixpAddr[a] = true
 		}
 	}
-	slices.Sort(st.addrs)
-	st.diag.Interfaces = len(st.addrs)
 
 	// Eligible halves and the both-Ns overlap statistic. Chunks scan
 	// disjoint ranges of the sorted address slice and are concatenated
@@ -289,8 +279,8 @@ func newRunState(cfg *Config, ev *Evidence) *runState {
 	parts := make([]eligiblePartial, numChunks(len(st.addrs), workers))
 	parallelChunks(len(st.addrs), workers, func(w, lo, hi int) {
 		p := &parts[w]
-		for _, a := range st.addrs[lo:hi] {
-			f, b := st.nbrF[a], st.nbrB[a]
+		for i := lo; i < hi; i++ {
+			a, f, b := st.addrs[i], st.nbrF[i], st.nbrB[i]
 			if len(f) >= 2 {
 				p.halves = append(p.halves, Half{Addr: a, Dir: Forward})
 				p.fwd++
@@ -318,6 +308,42 @@ func newRunState(cfg *Config, ev *Evidence) *runState {
 	return st
 }
 
+// appendPairKeys appends the distinct keys of pairs packed as
+// key<<32 | member and sorted, in ascending order.
+func appendPairKeys(dst []inet.Addr, pairs []uint64) []inet.Addr {
+	for i, p := range pairs {
+		if i == 0 || p>>32 != pairs[i-1]>>32 {
+			dst = append(dst, inet.Addr(p>>32))
+		}
+	}
+	return dst
+}
+
+// neighborLists groups pairs packed as key<<32 | member, sorted and
+// duplicate-free, into neighbour lists indexed like addrs, which is
+// sorted and holds every key; addresses without pairs get a nil list.
+// The members go into one flat array and every list is a window into
+// it with its capacity clipped to its length, so an append to one list
+// reallocates instead of overwriting the next.
+func neighborLists(pairs []uint64, addrs []inet.Addr) [][]inet.Addr {
+	flat := make([]inet.Addr, len(pairs))
+	lists := make([][]inet.Addr, len(addrs))
+	j := 0
+	for lo := 0; lo < len(pairs); {
+		key := inet.Addr(pairs[lo] >> 32)
+		hi := lo
+		for ; hi < len(pairs) && inet.Addr(pairs[hi]>>32) == key; hi++ {
+			flat[hi] = inet.Addr(uint32(pairs[hi]))
+		}
+		for addrs[j] != key {
+			j++
+		}
+		lists[j] = flat[lo:hi:hi]
+		lo = hi
+	}
+	return lists
+}
+
 func sortedIntersect(a, b []inet.Addr) bool {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -333,12 +359,18 @@ func sortedIntersect(a, b []inet.Addr) bool {
 	return false
 }
 
-// neighbors returns the half's neighbour set.
+// neighbors returns the half's neighbour set; nil outside the
+// interface universe.
 func (st *runState) neighbors(h Half) []inet.Addr {
-	if h.Dir == Forward {
-		return st.nbrF[h.Addr]
+	hi := st.halfIdx(h)
+	switch {
+	case hi < 0:
+		return nil
+	case h.Dir == Forward:
+		return st.nbrF[hi>>1]
+	default:
+		return st.nbrB[hi>>1]
 	}
-	return st.nbrB[h.Addr]
 }
 
 // mapping returns the committed IP2AS view of a half: override if one is

@@ -9,6 +9,8 @@
 package trace
 
 import (
+	"slices"
+
 	"mapit/internal/inet"
 )
 
@@ -114,21 +116,55 @@ func Sanitize(t Trace) (Trace, SanitizeResult) {
 // al.). Immediate repeats (the same address at consecutive responding
 // positions) are not cycles — they are the NAT/rate-limit signature the
 // stub heuristic relies on.
+//
+// Null hops do not count as separators (an unresponsive router between
+// two sightings of the same address tells us nothing), so the check
+// runs over the run-collapsed sequence of responding addresses: collapse
+// immediate repeats, and the trace has a cycle exactly when an address
+// occurs twice in what remains. Real traces are short, so the sequence
+// lives in a stack array and each new address is scanned backward
+// against it — no allocation, no hashing. Traces whose collapsed
+// sequence outgrows cycleScanMax fall back to a sort, so a hostile
+// 1024-hop trace stays O(n log n).
 func HasCycle(t Trace) bool {
-	lastSeen := make(map[inet.Addr]int, len(t.Hops))
-	// respIdx numbers only the responding hops so that null hops do not
-	// count as separators (an unresponsive router between two sightings
-	// of the same address tells us nothing).
-	respIdx := 0
+	var stack [cycleScanMax]inet.Addr
+	n := 0
 	for _, h := range t.Hops {
-		if !h.Responded() {
+		if !h.Responded() || (n > 0 && stack[n-1] == h.Addr) {
 			continue
 		}
-		if prev, ok := lastSeen[h.Addr]; ok && respIdx-prev > 1 {
+		if n == cycleScanMax {
+			return hasCycleSorted(t)
+		}
+		for i := n - 2; i >= 0; i-- {
+			if stack[i] == h.Addr {
+				return true
+			}
+		}
+		stack[n] = h.Addr
+		n++
+	}
+	return false
+}
+
+// cycleScanMax bounds the quadratic backward scan of HasCycle.
+const cycleScanMax = 64
+
+// hasCycleSorted is HasCycle for long traces: the run-collapsed
+// sequence has no two equal neighbours, so after sorting, any equal
+// neighbours are a repeat separated by another address — a cycle.
+func hasCycleSorted(t Trace) bool {
+	seq := make([]inet.Addr, 0, len(t.Hops))
+	for _, h := range t.Hops {
+		if h.Responded() && (len(seq) == 0 || seq[len(seq)-1] != h.Addr) {
+			seq = append(seq, h.Addr)
+		}
+	}
+	slices.Sort(seq)
+	for i := 1; i < len(seq); i++ {
+		if seq[i] == seq[i-1] {
 			return true
 		}
-		lastSeen[h.Addr] = respIdx
-		respIdx++
 	}
 	return false
 }

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"math/rand/v2"
 	"testing"
+	"time"
 
 	"mapit/internal/inet"
 )
@@ -36,6 +38,140 @@ func TestHasCycle(t *testing.T) {
 		if got := HasCycle(tr); got != c.want {
 			t.Errorf("%s: HasCycle = %v; want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// hasCycleMap is the original map-based cycle check, kept as the
+// reference HasCycle must agree with.
+func hasCycleMap(t Trace) bool {
+	lastSeen := make(map[inet.Addr]int, len(t.Hops))
+	respIdx := 0
+	for _, h := range t.Hops {
+		if !h.Responded() {
+			continue
+		}
+		if prev, ok := lastSeen[h.Addr]; ok && respIdx-prev > 1 {
+			return true
+		}
+		lastSeen[h.Addr] = respIdx
+		respIdx++
+	}
+	return false
+}
+
+// randomCycleTrace draws a trace over a small address pool so repeats
+// are common: null hops, immediate repeats (A A), true cycles (A B A,
+// A * B A), and — for the long lengths — more than cycleScanMax
+// responding hops, so the sorted fallback is exercised too.
+func randomCycleTrace(rng *rand.Rand) Trace {
+	var n, pool int
+	switch rng.IntN(3) {
+	case 0:
+		n, pool = rng.IntN(12), 1+rng.IntN(6)
+	case 1:
+		n, pool = rng.IntN(70), 1+rng.IntN(100)
+	default:
+		n, pool = cycleScanMax+rng.IntN(200), cycleScanMax+rng.IntN(400)
+	}
+	// Long traces are built mostly distinct so that some of them get
+	// past cycleScanMax runs before (or without) their first repeat.
+	distinct := n > cycleScanMax && rng.IntN(2) == 0
+	addrs := make([]inet.Addr, n)
+	for i := range addrs {
+		switch {
+		case rng.IntN(8) == 0:
+			// null hop
+		case i > 0 && rng.IntN(5) == 0:
+			addrs[i] = addrs[i-1] // immediate repeat (or another null)
+		case distinct:
+			addrs[i] = inet.Addr(0x01000000 + uint32(i))
+		default:
+			addrs[i] = inet.Addr(0x01000000 + uint32(rng.IntN(pool)))
+		}
+	}
+	if distinct && n > 2 && rng.IntN(2) == 0 {
+		// Plant one late cycle: a copy of an early address.
+		addrs[n-1-rng.IntN(n/4+1)] = addrs[rng.IntN(n/4+1)]
+	}
+	return NewTrace("m", ip("9.9.9.9"), addrs...)
+}
+
+func TestHasCycleMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	var cycles, long, longCycles int
+	for i := 0; i < 20000; i++ {
+		tr := randomCycleTrace(rng)
+		got, want := HasCycle(tr), hasCycleMap(tr)
+		if got != want {
+			t.Fatalf("trace %d %v: HasCycle = %v; map reference = %v", i, tr.Addrs(), got, want)
+		}
+		responding := 0
+		for _, h := range tr.Hops {
+			if h.Responded() {
+				responding++
+			}
+		}
+		if want {
+			cycles++
+		}
+		if responding > cycleScanMax {
+			long++
+			if want {
+				longCycles++
+			}
+		}
+	}
+	// The draw must cover both outcomes on both paths.
+	if cycles == 0 || cycles == 20000 || long == 0 || longCycles == 0 || longCycles == long {
+		t.Fatalf("degenerate draw: cycles=%d long=%d longCycles=%d", cycles, long, longCycles)
+	}
+}
+
+// TestHasCycleLongTraceCheap bounds the worst case: a 1024-hop trace of
+// distinct addresses must take the sorted fallback (one allocation),
+// not a quadratic scan or a map.
+func TestHasCycleLongTraceCheap(t *testing.T) {
+	addrs := make([]inet.Addr, 1024)
+	for i := range addrs {
+		addrs[i] = inet.Addr(0x0a000000 ^ uint32(i)*2654435761)
+	}
+	tr := NewTrace("m", ip("9.9.9.9"), addrs...)
+	if HasCycle(tr) {
+		t.Fatal("distinct 1024-hop trace reported as a cycle")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { HasCycle(tr) }); allocs > 1 {
+		t.Errorf("HasCycle on a 1024-hop trace allocates %v times; want <= 1", allocs)
+	}
+	const reps = 200
+	start := time.Now()
+	for i := 0; i < reps; i++ {
+		HasCycle(tr)
+	}
+	// A sort of 1024 addresses is tens of microseconds; the quadratic
+	// scan it replaces would be ~half a million comparisons.
+	if per := time.Since(start) / reps; per > 2*time.Millisecond {
+		t.Errorf("HasCycle on a 1024-hop trace takes %v; want < 2ms", per)
+	}
+}
+
+// TestSanitizeCleanTraceAllocFree pins the batch hot path: sanitising a
+// trace with no quoted-TTL=0 hop and at most cycleScanMax responding
+// hops allocates nothing.
+func TestSanitizeCleanTraceAllocFree(t *testing.T) {
+	addrs := make([]inet.Addr, cycleScanMax)
+	for i := range addrs {
+		addrs[i] = inet.Addr(0x01000000 + uint32(i))
+	}
+	addrs[10] = 0
+	addrs[11] = addrs[12]
+	tr := NewTrace("m", ip("9.9.9.9"), addrs...)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, res := Sanitize(tr); res.Discarded {
+			t.Fatal("clean trace discarded")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Sanitize of a clean trace allocates %v times; want 0", allocs)
 	}
 }
 
