@@ -426,6 +426,7 @@ func BenchmarkBinaryDecodeParallel(b *testing.B) {
 	data := buf.Bytes()
 	for _, w := range ingestWorkerSweep {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
 				back, err := mapit.ReadTracesBinaryParallel(bytes.NewReader(data), w)
@@ -534,6 +535,7 @@ func BenchmarkBinaryCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
+	b.ReportAllocs()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -22,7 +22,8 @@
 // segment files under -spill-dir (default: the system temp directory)
 // and finalisation merges them back with bounded memory. The inference
 // output is byte-identical to an unbudgeted run; -stats reports the
-// spill activity. Only binary inputs stream record-at-a-time; text and
+// spill activity. Only binary inputs stream (block-at-a-time, v3/v4
+// blocks decoding on -workers goroutines in stream order); text and
 // JSONL corpora are parsed whole before the collector sees them.
 //
 // -lookup resolves specific addresses instead of dumping the full

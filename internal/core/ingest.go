@@ -3,15 +3,16 @@ package core
 import (
 	"bufio"
 	"io"
+	"runtime"
 
 	"mapit/internal/trace"
 )
 
 // IngestOptions configures an Ingestor.
 type IngestOptions struct {
-	// Workers parallelises sanitisation and adjacency deduplication;
-	// results are identical for any value. Zero or negative means
-	// runtime.GOMAXPROCS(0).
+	// Workers parallelises binary block decode, sanitisation and
+	// adjacency deduplication; results are identical for any value.
+	// Zero or negative means runtime.GOMAXPROCS(0).
 	Workers int
 
 	// Strict aborts on any binary-input corruption instead of skipping
@@ -57,16 +58,21 @@ func NewIngestor(opt IngestOptions) *Ingestor {
 
 // Ingest sniffs the trace format of r from its first bytes and feeds
 // every trace into the collector, returning how many traces the stream
-// carried. Binary inputs stream record-at-a-time (corpora larger than
-// memory work, and the spill budget applies); text and JSONL inputs are
-// parsed whole. Unless Strict, corrupt binary v3 blocks are skipped and
-// tallied into DecodeStats. On error the evidence already collected
-// remains intact — a failed batch never corrupts the pipeline.
+// carried. Binary inputs stream block-at-a-time (corpora larger than
+// memory work, and the spill budget applies): v3/v4 blocks decode on
+// IngestOptions.Workers goroutines and reach the collector in stream
+// order, with at most 2×Workers decoded blocks in flight — held outside
+// the spill budget. Text and JSONL inputs are parsed whole. Unless
+// Strict, corrupt binary v3/v4 blocks are skipped and tallied into
+// DecodeStats; a strict failure leaves collected exactly the traces of
+// the blocks before the corrupt one. On error the evidence already
+// collected remains intact — a failed batch never corrupts the
+// pipeline.
 func (g *Ingestor) Ingest(r io.Reader) (int, error) {
-	return DecodeTraces(r, trace.DecodeOptions{
+	return decodeTraces(r, trace.DecodeOptions{
 		Permissive: !g.opt.Strict,
 		Stats:      &g.stats,
-	}, func(t trace.Trace) error {
+	}, g.coll.workers, func(t trace.Trace) error {
 		g.coll.Add(t)
 		return nil
 	})
@@ -75,36 +81,36 @@ func (g *Ingestor) Ingest(r io.Reader) (int, error) {
 // DecodeTraces sniffs the trace format of r from its first bytes —
 // text, JSONL, or binary MTRC v2/v3/v4 — and delivers every decoded
 // trace to fn in stream order, returning how many traces fn received.
-// Binary inputs stream record-at-a-time; text and JSONL inputs are
-// parsed whole. A non-nil error from fn aborts the decode and is
-// returned verbatim. This is the one sniffing decode loop: the
-// Ingestor's batch path and the sliding-window paths (cmd/mapit replay,
-// mapitd windowed ingest) all sit on top of it.
+// Binary inputs stream block-at-a-time: v3/v4 blocks decode on
+// GOMAXPROCS goroutines and fn sees them in stream order, on the
+// caller's goroutine, with at most 2×GOMAXPROCS decoded blocks in
+// flight (trace.DecodeBinary); a one-block body decodes inline. Text
+// and JSONL inputs are parsed whole. A non-nil error from fn aborts the
+// decode and is returned verbatim. This is the one sniffing decode
+// loop: the Ingestor's batch path and the sliding-window paths
+// (cmd/mapit replay, mapitd windowed ingest) all sit on top of it.
 func DecodeTraces(r io.Reader, opt trace.DecodeOptions, fn func(trace.Trace) error) (int, error) {
+	return decodeTraces(r, opt, runtime.GOMAXPROCS(0), fn)
+}
+
+// decodeTraces is DecodeTraces with the binary block decode fanned out
+// over the given number of workers.
+func decodeTraces(r io.Reader, opt trace.DecodeOptions, workers int, fn func(trace.Trace) error) (int, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	// Peek returns whatever is available on short inputs along with an
 	// error we deliberately ignore: a 3-byte file is still valid text.
 	head, _ := br.Peek(5)
 	switch {
 	case len(head) == 5 && (string(head) == "MTRC\x02" || string(head) == "MTRC\x03" || string(head) == "MTRC\x04"):
-		stream, err := trace.NewBinaryReaderOpts(br, opt)
-		if err != nil {
-			return 0, err
-		}
 		n := 0
-		for {
-			t, err := stream.Next()
-			if err == io.EOF {
-				return n, nil
-			}
-			if err != nil {
-				return n, err
-			}
+		err := trace.DecodeBinary(br, workers, opt, func(t trace.Trace) error {
 			if err := fn(t); err != nil {
-				return n, err
+				return err
 			}
 			n++
-		}
+			return nil
+		})
+		return n, err
 	case len(head) > 0 && head[0] == '{':
 		ds, err := trace.ReadJSON(br)
 		if err != nil {

@@ -2,11 +2,19 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"mapit/internal/inet"
 	"mapit/internal/trace"
 )
 
@@ -257,14 +265,155 @@ func TestIngestorStrict(t *testing.T) {
 		t.Fatalf("clean ingest: n=%d err=%v", n, err)
 	}
 	data, _ := corruptV3Stream(t)
-	if _, err := g.Ingest(bytes.NewReader(data)); err == nil {
+	prefix, wantErr := serialDecode(t, data, trace.DecodeOptions{})
+	if wantErr == nil {
+		t.Fatal("serial decode accepted the corrupt stream")
+	}
+	n, err := g.Ingest(bytes.NewReader(data))
+	if err == nil {
 		t.Fatal("strict ingest accepted corrupt stream")
+	}
+	if n != len(prefix) {
+		t.Fatalf("failed ingest reports %d traces, want the %d before the corrupt block", n, len(prefix))
 	}
 	ev, err := g.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Stats.TotalTraces < len(ds.Traces) {
-		t.Fatalf("failed batch corrupted earlier evidence: %+v", ev.Stats)
+	// The failed batch leaves exactly its stream prefix collected.
+	if want := len(ds.Traces) + len(prefix); ev.Stats.TotalTraces != want {
+		t.Fatalf("evidence covers %d traces, want %d: %+v", ev.Stats.TotalTraces, want, ev.Stats)
+	}
+}
+
+// serialDecode is the reference for the ordered block-parallel decode:
+// a serial BinaryReader.Next loop, returning every trace it delivered
+// before the stream ended or failed.
+func serialDecode(t *testing.T, data []byte, opt trace.DecodeOptions) ([]trace.Trace, error) {
+	t.Helper()
+	r, err := trace.NewBinaryReaderOpts(bytes.NewReader(data), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []trace.Trace
+	for {
+		tr, err := r.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, tr)
+	}
+}
+
+// corruptMiddleV4 writes n random timestamped traces as a v4 stream of
+// perBlock-trace blocks, gives block k's payload an unknown record kind,
+// so that block alone fails to decode, and block k+2's timestamp column
+// a negative delta, which fails that block as it is framed.
+func corruptMiddleV4(t *testing.T, n, perBlock, k int) []byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(3))
+	ds := &trace.Dataset{}
+	for i := 0; i < n; i++ {
+		hops := make([]inet.Addr, 1+rng.Intn(8))
+		for j := range hops {
+			hops[j] = inet.Addr(0x0a000000 + rng.Intn(1<<12))
+		}
+		tr := trace.NewTrace(fmt.Sprintf("m%d", rng.Intn(5)), inet.Addr(0x08000000+rng.Intn(1<<12)), hops...)
+		tr.Time = 1_700_000_000 + int64(i)
+		ds.Traces = append(ds.Traces, tr)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteBinaryBlocksV4(&buf, ds, perBlock); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	pos := 5 // past the magic
+	for b := 0; ; b++ {
+		pos++             // frame kind
+		var hdr [3]uint64 // payloadLen, traceCount, tsLen
+		for i := range hdr {
+			v, w := binary.Uvarint(data[pos:])
+			if w <= 0 {
+				t.Fatalf("block %d: bad frame header at %d", b, pos)
+			}
+			hdr[i], pos = v, pos+w
+		}
+		if b == k+2 {
+			data[pos+5] = 0x01 // after the 5-byte base, a zigzag -1 delta
+			return data
+		}
+		pos += int(hdr[2])
+		if b == k {
+			data[pos] = 0xee
+		}
+		pos += int(hdr[0])
+	}
+}
+
+// TestDecodeTracesOrderedBlocks holds the ordered block-parallel decode
+// to a serial BinaryReader.Next loop over a multi-block v4 corpus with
+// one corrupt middle block, for several worker counts: permissive mode
+// delivers the same trace sequence with identical DecodeStats; strict
+// mode fails with the same error and DecodeStats after delivering
+// exactly the blocks before the corrupt one, so the damaged column that
+// framing read ahead to is not counted; an error from fn stops the
+// decode at once and leaves no goroutine behind.
+func TestDecodeTracesOrderedBlocks(t *testing.T) {
+	const n, perBlock, bad = 200, 8, 12
+	data := corruptMiddleV4(t, n, perBlock, bad)
+	for _, workers := range []int{1, 2, 8} {
+		for _, permissive := range []bool{true, false} {
+			label := fmt.Sprintf("workers=%d permissive=%v", workers, permissive)
+			var wantStats, gotStats trace.DecodeStats
+			want, wantErr := serialDecode(t, data, trace.DecodeOptions{Permissive: permissive, Stats: &wantStats})
+			var got []trace.Trace
+			delivered, err := decodeTraces(bytes.NewReader(data), trace.DecodeOptions{Permissive: permissive, Stats: &gotStats},
+				workers, func(tr trace.Trace) error {
+					got = append(got, tr)
+					return nil
+				})
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("%s: err = %v, want %v", label, err, wantErr)
+			}
+			if !permissive && len(got) != bad*perBlock {
+				t.Fatalf("%s: fn saw %d traces, want the %d of the blocks before the corrupt one", label, len(got), bad*perBlock)
+			}
+			if permissive && len(got) != n-2*perBlock {
+				t.Fatalf("%s: fn saw %d traces, want %d", label, len(got), n-2*perBlock)
+			}
+			if delivered != len(got) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: delivered %d traces, differing from the serial decode's %d", label, len(got), len(want))
+			}
+			if gotStats != wantStats {
+				t.Fatalf("%s: stats\n  got  %+v\n  want %+v", label, gotStats, wantStats)
+			}
+		}
+
+		baseline := runtime.NumGoroutine()
+		stop := errors.New("stop")
+		calls := 0
+		delivered, err := decodeTraces(bytes.NewReader(data), trace.DecodeOptions{Permissive: true}, workers,
+			func(trace.Trace) error {
+				calls++
+				if calls == 3*perBlock+5 {
+					return stop
+				}
+				return nil
+			})
+		if !errors.Is(err, stop) || calls != 3*perBlock+5 || delivered != calls-1 {
+			t.Fatalf("workers=%d: fn error: err=%v calls=%d delivered=%d", workers, err, calls, delivered)
+		}
+		// The decode has waited for its workers, but one that has just
+		// run its deferred Done still counts until it exits.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines after an aborted decode, %d before",
+					workers, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

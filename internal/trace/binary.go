@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"mapit/internal/inet"
@@ -407,12 +409,8 @@ func (c *countReader) Read(p []byte) (int, error) {
 // with byte-offset context, and DecodeOptions.Permissive lets v3
 // streams skip corrupt blocks instead of aborting.
 type BinaryReader struct {
-	br *bufio.Reader
-	cr *countReader
-	// base is the offset of this reader's first byte within the outer
-	// stream — non-zero for the nested readers that decode v3 block
-	// payloads, so their errors still report absolute offsets.
-	base     int64
+	br       *bufio.Reader
+	cr       *countReader
 	version  byte
 	opt      DecodeOptions
 	stats    *DecodeStats
@@ -424,6 +422,9 @@ type BinaryReader struct {
 	// pending holds the remaining traces of the current v3 block.
 	pending []Trace
 	pendIdx int
+	// buf is the serial block decode's reusable frame buffer; decoded
+	// traces never alias it.
+	buf []byte
 }
 
 // NewBinaryReader validates the magic and returns a streaming reader
@@ -462,7 +463,7 @@ func decodeMagic(br *bufio.Reader) (byte, *CorruptError) {
 
 // offset is the absolute position of the next undecoded byte.
 func (r *BinaryReader) offset() int64 {
-	return r.base + r.cr.n - int64(r.br.Buffered())
+	return r.cr.n - int64(r.br.Buffered())
 }
 
 // corruptErr builds a typed decode failure at the current offset and
@@ -475,14 +476,14 @@ func (r *BinaryReader) corruptErr(class CorruptClass, kind string, cause error) 
 // fatal makes the error sticky and settles the consumed-bytes counter.
 func (r *BinaryReader) fatal(e *CorruptError) error {
 	r.err = e
-	r.stats.BytesConsumed = r.offset() - r.base
+	r.stats.BytesConsumed = r.offset()
 	return e
 }
 
 // finishEOF marks the clean end of the stream.
 func (r *BinaryReader) finishEOF() {
 	r.err = io.EOF
-	r.stats.BytesConsumed = r.offset() - r.base
+	r.stats.BytesConsumed = r.offset()
 }
 
 // varintClass separates truncation from malformed-varint failures.
@@ -527,8 +528,9 @@ func (r *BinaryReader) Next() (Trace, error) {
 	return t, nil
 }
 
-// nextRecord decodes the next trace from a flat v2 record stream
-// (also the inside of a v3 block payload).
+// nextRecord decodes the next trace from a flat v2 record stream.
+// Block payloads carry the same records but decode from memory
+// (decodeBlockPayload).
 func (r *BinaryReader) nextRecord() (Trace, error) {
 	for {
 		kind, err := r.br.ReadByte()
@@ -633,7 +635,8 @@ type blockFrame struct {
 	times []int64
 }
 
-// readFrame reads the next v3 block frame, returning io.EOF at the
+// readFrame reads the next v3 block frame into buf's storage (grown as
+// needed; the frame's payload aliases it), returning io.EOF at the
 // clean end of the stream. In permissive mode, frames whose headers are
 // self-inconsistent (traceCount impossible for the payload size) or
 // whose payloads are truncated are counted, skipped, and the next frame
@@ -641,7 +644,7 @@ type blockFrame struct {
 // Corruption that destroys the framing itself (bad kind byte, malformed
 // or oversized length varints) is fatal in either mode: without an
 // intact length prefix there is no next frame to find.
-func (r *BinaryReader) readFrame() (blockFrame, error) {
+func (r *BinaryReader) readFrame(buf []byte) (blockFrame, error) {
 	for {
 		kind, err := r.br.ReadByte()
 		if err == io.EOF {
@@ -699,8 +702,8 @@ func (r *BinaryReader) readFrame() (blockFrame, error) {
 		var times []int64
 		if r.version >= 4 {
 			tsOff := r.offset()
-			tsBuf := make([]byte, tsLen)
-			if _, err := io.ReadFull(r.br, tsBuf); err != nil {
+			buf = sized(buf, tsLen)
+			if _, err := io.ReadFull(r.br, buf); err != nil {
 				e := r.corruptErr(CorruptTruncated, "block", noEOF(err))
 				if !r.opt.Permissive {
 					return blockFrame{}, r.fatal(e)
@@ -711,7 +714,7 @@ func (r *BinaryReader) readFrame() (blockFrame, error) {
 				return blockFrame{}, io.EOF
 			}
 			var cerr *CorruptError
-			times, cerr = decodeTimestampColumn(tsBuf, tsOff, r.blockIdx, int(count))
+			times, cerr = decodeTimestampColumn(buf, tsOff, r.blockIdx, int(count))
 			if cerr != nil {
 				r.stats.record(cerr.Class)
 				if !r.opt.Permissive {
@@ -729,7 +732,7 @@ func (r *BinaryReader) readFrame() (blockFrame, error) {
 			}
 		}
 		off := r.offset()
-		payload := make([]byte, plen)
+		payload := sized(buf, plen)
 		if _, err := io.ReadFull(r.br, payload); err != nil {
 			e := r.corruptErr(CorruptTruncated, "block", noEOF(err))
 			if !r.opt.Permissive {
@@ -742,6 +745,14 @@ func (r *BinaryReader) readFrame() (blockFrame, error) {
 		}
 		return blockFrame{idx: r.blockIdx, count: int(count), off: off, payload: payload, times: times}, nil
 	}
+}
+
+// sized returns buf resliced to n bytes, reallocated when too small.
+func sized(buf []byte, n uint64) []byte {
+	if uint64(cap(buf)) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
 }
 
 // decodeTimestampColumn parses a v4 timestamp column into absolute Unix
@@ -793,34 +804,55 @@ func decodeTimestampColumn(buf []byte, base int64, blockIdx, count int) ([]int64
 	return times, nil
 }
 
-// fillBlock lifts and decodes the next v3 block into pending. A corrupt
-// payload is skipped and counted in permissive mode (blocks are
-// self-contained, so dropping one loses only its own traces) and fatal
-// otherwise.
+// fillBlock lifts and decodes the next v3 block into pending.
 func (r *BinaryReader) fillBlock() error {
-	fr, err := r.readFrame()
+	fr, err := r.readFrame(r.buf)
 	if err != nil {
 		return err
 	}
-	traces, derr := decodeBlockPayload(fr.payload, fr.off, fr.idx, fr.count)
-	if derr == nil && len(traces) != fr.count {
-		derr = &CorruptError{Offset: fr.off, Block: fr.idx, Kind: "block", Class: CorruptCountMismatch,
+	r.buf = fr.payload
+	traces, derr := decodeBlock(fr)
+	traces, err = r.settleBlock(fr, traces, derr)
+	r.pending, r.pendIdx = traces, 0
+	return err
+}
+
+// settleBlock tallies one decoded block's outcome and returns the traces
+// to deliver. A corrupt block is skipped and counted in permissive mode
+// (blocks are self-contained, so dropping one loses only its own
+// traces) and fails the stream otherwise. The serial and the ordered
+// parallel decode both settle blocks here, in stream order.
+func (r *BinaryReader) settleBlock(fr blockFrame, traces []Trace, derr *CorruptError) ([]Trace, error) {
+	if derr == nil {
+		r.stats.BlocksDecoded++
+		return traces, nil
+	}
+	r.stats.record(derr.Class)
+	if r.opt.Permissive {
+		r.stats.BlocksSkipped++
+		r.stats.TracesDropped += int64(fr.count)
+		return nil, nil
+	}
+	r.err = derr
+	r.stats.BytesConsumed = fr.off + int64(len(fr.payload))
+	return nil, derr
+}
+
+// decodeBlock decodes one framed block: its payload, checked against the
+// header's trace count, stamped with the v4 timestamp column. It touches
+// no reader state, so blocks decode concurrently; the decoded traces
+// never alias the frame's payload, so its buffer can be reused.
+func decodeBlock(fr blockFrame) ([]Trace, *CorruptError) {
+	traces, err := decodeBlockPayload(fr.payload, fr.off, fr.idx, fr.count)
+	if err != nil {
+		return nil, err
+	}
+	if len(traces) != fr.count {
+		return nil, &CorruptError{Offset: fr.off, Block: fr.idx, Kind: "block", Class: CorruptCountMismatch,
 			Cause: fmt.Errorf("header claims %d traces, payload holds %d", fr.count, len(traces))}
 	}
-	if derr != nil {
-		r.stats.record(derr.Class)
-		if r.opt.Permissive {
-			r.stats.BlocksSkipped++
-			r.stats.TracesDropped += int64(fr.count)
-			r.pending, r.pendIdx = nil, 0
-			return nil
-		}
-		return r.fatal(derr)
-	}
 	applyTimes(traces, fr.times)
-	r.stats.BlocksDecoded++
-	r.pending, r.pendIdx = traces, 0
-	return nil
+	return traces, nil
 }
 
 // applyTimes stamps a decoded v4 block's timestamp column onto its
@@ -835,6 +867,147 @@ func applyTimes(traces []Trace, times []int64) {
 	}
 }
 
+// errVarintOverflow is the cause binary.ReadUvarint reports for an
+// overlong varint (encoding/binary does not export it), so block and
+// stream decodes of the same bytes fail with the same message.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// uvarint reads a uvarint at p[pos:] exactly as binary.ReadUvarint would
+// from a stream holding p: it returns the value and the position after
+// the bytes consumed — on failure too, since error offsets point there —
+// and fails with io.EOF (no byte left), io.ErrUnexpectedEOF or
+// errVarintOverflow.
+func uvarint(p []byte, pos int) (uint64, int, error) {
+	if pos < len(p) && p[pos] < 0x80 {
+		return uint64(p[pos]), pos + 1, nil
+	}
+	var x uint64
+	var s uint
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		if pos >= len(p) {
+			if i > 0 {
+				return 0, pos, io.ErrUnexpectedEOF
+			}
+			return 0, pos, io.EOF
+		}
+		b := p[pos]
+		pos++
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, pos, errVarintOverflow
+			}
+			return x | uint64(b)<<s, pos, nil
+		}
+		x |= uint64(b&0x7f) << s
+		s += 7
+	}
+	return 0, pos, errVarintOverflow
+}
+
+// decodeBlockPayload decodes one self-contained v3/v4 block payload — a
+// v2 record stream with block-local monitor ids — straight from memory.
+// base and blockIdx locate its errors in the outer stream; each failure
+// carries the offset, kind and class the stream decoder (nextRecord)
+// reports for the same bytes. The hops of all traces share a few slab
+// allocations: each trace's Hops is a capacity-clipped window, so an
+// append to one trace's hops reallocates instead of overwriting the
+// next trace's. It touches no shared state, so blocks decode
+// concurrently.
+func decodeBlockPayload(p []byte, base int64, blockIdx, count int) ([]Trace, *CorruptError) {
+	fail := func(pos int, class CorruptClass, kind string, cause error) *CorruptError {
+		return &CorruptError{Offset: base + int64(pos), Block: blockIdx, Kind: kind, Class: class, Cause: cause}
+	}
+	out := make([]Trace, 0, min(count, maxTraceCapHint))
+	var monitors []string
+	var slab []Hop
+	pos := 0
+	for pos < len(p) {
+		kind := p[pos]
+		pos++
+		switch kind {
+		case 0:
+			mlen, next, err := uvarint(p, pos)
+			pos = next
+			if err != nil {
+				return nil, fail(pos, varintClass(err), "monitor", err)
+			}
+			if mlen > maxMonitorNameLen {
+				return nil, fail(pos, CorruptOversizedLen, "monitor",
+					fmt.Errorf("monitor name length %d exceeds %d", mlen, maxMonitorNameLen))
+			}
+			if mlen > uint64(len(p)-pos) {
+				return nil, fail(len(p), CorruptTruncated, "monitor", io.ErrUnexpectedEOF)
+			}
+			monitors = append(monitors, string(p[pos:pos+int(mlen)]))
+			pos += int(mlen)
+		case 1:
+			id, next, err := uvarint(p, pos)
+			pos = next
+			if err != nil {
+				return nil, fail(pos, varintClass(err), "trace", err)
+			}
+			if id >= uint64(len(monitors)) {
+				return nil, fail(pos, CorruptBadMonitorID, "trace",
+					fmt.Errorf("monitor id %d with %d defined", id, len(monitors)))
+			}
+			if len(p)-pos < 4 {
+				return nil, fail(len(p), CorruptTruncated, "trace", io.ErrUnexpectedEOF)
+			}
+			t := Trace{Monitor: monitors[id], Dst: inet.Addr(binary.BigEndian.Uint32(p[pos:]))}
+			n, next, err := uvarint(p, pos+4)
+			pos = next
+			if err != nil {
+				return nil, fail(pos, varintClass(err), "trace", err)
+			}
+			if n > maxHopCount {
+				return nil, fail(pos, CorruptOversizedLen, "trace",
+					fmt.Errorf("hop count %d exceeds %d", n, maxHopCount))
+			}
+			if int(n) > cap(slab)-len(slab) || slab == nil {
+				// A responding hop takes five payload bytes, a silent one
+				// one, so a quarter of the bytes left after the remaining
+				// traces' headers sizes the slab for the rest of a real
+				// block in one allocation (traceroute hops mostly
+				// respond: about 20% over). Allocating on first use even
+				// for zero hops keeps such a trace's Hops non-nil, as the
+				// stream decoder's make leaves it.
+				rest := len(p) - pos - minTraceRecordBytes*max(0, count-len(out)-1)
+				slab = make([]Hop, 0, max(int(n), rest/4))
+			}
+			at := len(slab)
+			slab = slab[:at+int(n)]
+			t.Hops = slab[at : at+int(n) : at+int(n)]
+			for i := range t.Hops {
+				if pos >= len(p) {
+					return nil, fail(len(p), CorruptTruncated, "trace", io.ErrUnexpectedEOF)
+				}
+				flag := p[pos]
+				pos++
+				h := Hop{QuotedTTL: 1}
+				if flag&0x01 != 0 {
+					if len(p)-pos < 4 {
+						return nil, fail(len(p), CorruptTruncated, "trace", io.ErrUnexpectedEOF)
+					}
+					h.Addr = inet.Addr(binary.BigEndian.Uint32(p[pos:]))
+					pos += 4
+				}
+				if flag&0x02 != 0 {
+					if pos >= len(p) {
+						return nil, fail(len(p), CorruptTruncated, "trace", io.ErrUnexpectedEOF)
+					}
+					h.QuotedTTL = int8(p[pos])
+					pos++
+				}
+				t.Hops[i] = h
+			}
+			out = append(out, t)
+		default:
+			return nil, fail(pos, CorruptBadKind, "trace", fmt.Errorf("unknown record kind %d", kind))
+		}
+	}
+	return out, nil
+}
+
 // ReadBinary reads a whole binary dataset (either version) into memory
 // on one core. Use ReadBinaryParallel to decode v3 blocks across cores.
 func ReadBinary(r io.Reader) (*Dataset, error) {
@@ -844,34 +1017,13 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 // ReadBinaryOpts is ReadBinary with explicit corrupt-input handling
 // options.
 func ReadBinaryOpts(r io.Reader, opt DecodeOptions) (*Dataset, error) {
-	br, err := NewBinaryReaderOpts(r, opt)
-	if err != nil {
-		return nil, err
-	}
-	return readAll(br)
+	return ReadBinaryParallelOpts(r, 1, opt)
 }
 
-// readAll drains a streaming reader into a dataset.
-func readAll(br *BinaryReader) (*Dataset, error) {
-	d := &Dataset{}
-	for {
-		t, err := br.Next()
-		if err == io.EOF {
-			return d, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		d.Traces = append(d.Traces, t)
-	}
-}
-
-// ReadBinaryParallel reads a whole binary dataset, decoding v3 blocks
-// concurrently on the given number of workers: one goroutine reads and
-// frames blocks off the stream, workers decode payloads, and blocks
-// reassemble in stream order — so the trace order (and therefore the
-// dataset) is identical to ReadBinary. A v2 stream has no block framing
-// and falls back to the serial decode, as does workers <= 1.
+// ReadBinaryParallel reads a whole binary dataset, decoding v3/v4 blocks
+// on the given number of workers (see DecodeBinary): the trace order,
+// and therefore the dataset, is identical to ReadBinary. A v2 stream
+// has no block framing and decodes serially, as does workers <= 1.
 func ReadBinaryParallel(r io.Reader, workers int) (*Dataset, error) {
 	return ReadBinaryParallelOpts(r, workers, DecodeOptions{})
 }
@@ -883,125 +1035,158 @@ func ReadBinaryParallel(r io.Reader, workers int) (*Dataset, error) {
 // earliest corruption in stream order is reported, so failures are
 // deterministic for any worker count.
 func ReadBinaryParallelOpts(r io.Reader, workers int, opt DecodeOptions) (*Dataset, error) {
-	cr := &countReader{r: r}
-	br := bufio.NewReaderSize(cr, 1<<16)
-	stats := opt.sink()
-	version, cerr := decodeMagic(br)
-	if cerr != nil {
-		stats.record(cerr.Class)
-		return nil, cerr
-	}
-	rd := &BinaryReader{br: br, cr: cr, version: version, opt: opt, stats: stats, blockIdx: -1}
-	if version < 3 || workers <= 1 {
-		return readAll(rd)
-	}
-
-	// Workers fill in the traces/err of the job they received; the main
-	// goroutine reads them only after wg.Wait, so no lock is needed.
-	type block struct {
-		frame  blockFrame
-		traces []Trace
-		err    *CorruptError
-	}
-	jobs := make(chan *block, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range jobs {
-				b.traces, b.err = decodeBlockPayload(b.frame.payload, b.frame.off, b.frame.idx, b.frame.count)
-				if b.err == nil && len(b.traces) != b.frame.count {
-					b.err = &CorruptError{Offset: b.frame.off, Block: b.frame.idx, Kind: "block",
-						Class: CorruptCountMismatch,
-						Cause: fmt.Errorf("header claims %d traces, payload holds %d", b.frame.count, len(b.traces))}
-				}
-				if b.err == nil {
-					applyTimes(b.traces, b.frame.times)
-				}
-				b.frame.payload = nil
-			}
-		}()
-	}
-
-	var blocks []*block
-	var frameErr error
-	for {
-		fr, err := rd.readFrame()
-		if err == io.EOF {
-			break
+	// Fixed-size chunks joined once cost one extra copy of the trace
+	// slice, where growing it by append would copy it several times.
+	var chunks [][]Trace
+	if err := DecodeBinary(r, workers, opt, func(t Trace) error {
+		if n := len(chunks); n == 0 || len(chunks[n-1]) == cap(chunks[n-1]) {
+			chunks = append(chunks, make([]Trace, 0, DefaultBlockTraces))
 		}
-		if err != nil {
-			frameErr = err
-			break
-		}
-		b := &block{frame: fr}
-		blocks = append(blocks, b)
-		jobs <- b
+		last := &chunks[len(chunks)-1]
+		*last = append(*last, t)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	close(jobs)
-	wg.Wait()
-
-	// Settle per-block outcomes in stream order: strict mode reports the
-	// earliest corruption; permissive mode counts skips.
-	var firstErr *CorruptError
-	total := 0
-	for _, b := range blocks {
-		if b.err == nil {
-			stats.BlocksDecoded++
-			stats.TracesDecoded += int64(len(b.traces))
-			total += len(b.traces)
-			continue
-		}
-		stats.record(b.err.Class)
-		if opt.Permissive {
-			stats.BlocksSkipped++
-			stats.TracesDropped += int64(b.frame.count)
-		} else if firstErr == nil {
-			firstErr = b.err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if frameErr != nil {
-		return nil, frameErr
-	}
-	d := &Dataset{Traces: make([]Trace, 0, total)}
-	for _, b := range blocks {
-		if b.err == nil {
-			d.Traces = append(d.Traces, b.traces...)
-		}
-	}
-	return d, nil
+	return &Dataset{Traces: slices.Concat(chunks...)}, nil
 }
 
-// decodeBlockPayload decodes one self-contained v3 block payload with a
-// nested strict reader; base and blockIdx locate its errors in the
-// outer stream. It does not touch shared decode stats — callers settle
-// outcomes — so block decodes can run concurrently.
-func decodeBlockPayload(payload []byte, base int64, blockIdx, count int) ([]Trace, *CorruptError) {
-	cr := &countReader{r: bytes.NewReader(payload)}
-	rd := &BinaryReader{
-		br:       bufio.NewReaderSize(cr, max(16, min(len(payload), 1<<16))),
-		cr:       cr,
-		base:     base,
-		version:  2,
-		stats:    DecodeOptions{}.sink(),
-		blockIdx: blockIdx,
+// DecodeBinary decodes a binary trace stream of any version and hands
+// every trace to fn in stream order, on the caller's goroutine. The
+// caller's goroutine frames v3/v4 blocks off r and up to workers
+// goroutines decode them, with at most 2×workers blocks in flight; each
+// block's outcome, traces and DecodeStats settle on the caller's
+// goroutine in stream order. Traces, counters and errors are therefore
+// those of a serial BinaryReader.Next loop for any worker count: strict
+// mode fails at the earliest corrupt block after delivering every block
+// before it. A stream of one block decodes inline, since workers start
+// only once a second frame is in hand; v2 streams, which have no
+// blocks, and workers <= 1 decode serially. A non-nil error from fn
+// stops the decode and is returned verbatim; no goroutine outlives the
+// call.
+func DecodeBinary(r io.Reader, workers int, opt DecodeOptions, fn func(Trace) error) error {
+	rd, err := NewBinaryReaderOpts(r, opt)
+	if err != nil {
+		return err
 	}
-	out := make([]Trace, 0, min(count, maxTraceCapHint))
+	if rd.version >= 3 && workers > 1 {
+		return rd.decodeOrdered(workers, fn)
+	}
 	for {
 		t, err := rd.Next()
 		if err == io.EOF {
-			return out, nil
+			return nil
 		}
 		if err != nil {
-			if ce, ok := err.(*CorruptError); ok {
-				return nil, ce
-			}
-			return nil, &CorruptError{Offset: base, Block: blockIdx, Kind: "block", Cause: err}
+			return err
 		}
-		out = append(out, t)
+		if err := fn(t); err != nil {
+			return err
+		}
 	}
+}
+
+// flight is one framed block in the ordered decode's window.
+type flight struct {
+	fr blockFrame
+	// framing holds the counters that lifting fr off the stream
+	// produced (frames skipped on the way); they settle with the block,
+	// so read-ahead never counts past the point where a decode stops.
+	framing DecodeStats
+	traces  []Trace
+	err     *CorruptError
+	done    chan struct{}
+}
+
+// decodeOrdered is DecodeBinary's block-parallel path: a ring of
+// 2×workers flights, filled in stream order by framing on this
+// goroutine, drained from its head in the same order.
+func (r *BinaryReader) decodeOrdered(workers int, fn func(Trace) error) error {
+	window := make([]flight, 2*workers)
+	var jobs chan *flight
+	var wg sync.WaitGroup
+	defer func() {
+		if jobs != nil {
+			close(jobs)
+			wg.Wait()
+		}
+	}()
+	start := func() {
+		// Sized to the window, so handing a flight over never blocks.
+		jobs = make(chan *flight, len(window))
+		for i := range window {
+			window[i].done = make(chan struct{}, 1)
+		}
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for f := range jobs {
+					f.traces, f.err = decodeBlock(f.fr)
+					f.done <- struct{}{}
+				}
+			}()
+		}
+	}
+
+	head, n := 0, 0
+	var end error // io.EOF or the fatal framing error that ends the stream
+	var endStats DecodeStats
+	for {
+		for end == nil && n < len(window) {
+			f := &window[(head+n)%len(window)]
+			fr, st, err := r.nextFrame(f.fr.payload)
+			if err != nil {
+				end, endStats = err, st
+				break
+			}
+			f.fr, f.framing = fr, st
+			n++
+			switch {
+			case jobs != nil:
+				jobs <- f
+			case n == 2:
+				start()
+				jobs <- &window[head]
+				jobs <- f
+			}
+		}
+		if n == 0 {
+			r.stats.add(&endStats)
+			if end == io.EOF {
+				return nil
+			}
+			return end
+		}
+		f := &window[head]
+		if jobs != nil {
+			<-f.done
+		} else {
+			f.traces, f.err = decodeBlock(f.fr)
+		}
+		head, n = (head+1)%len(window), n-1
+		r.stats.add(&f.framing)
+		traces, err := r.settleBlock(f.fr, f.traces, f.err)
+		f.traces = nil
+		if err != nil {
+			return err
+		}
+		for _, t := range traces {
+			r.stats.TracesDecoded++
+			if err := fn(t); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// nextFrame is readFrame with the counters it produces tallied apart
+// from the reader's, for the ordered decode to settle in stream order.
+func (r *BinaryReader) nextFrame(buf []byte) (blockFrame, DecodeStats, error) {
+	var st DecodeStats
+	shared := r.stats
+	r.stats = &st
+	fr, err := r.readFrame(buf)
+	r.stats = shared
+	return fr, st, err
 }

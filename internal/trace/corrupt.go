@@ -116,8 +116,8 @@ func (e *CorruptError) Unwrap() error { return e.Cause }
 // corrupt v3 blocks by skipping them; these counters are how the
 // caller learns what was lost. All fields are plain values so the
 // struct is comparable and travels inside core.Diagnostics; readers
-// only mutate it from the goroutine that owns the decode, and parallel
-// decodes tally into it after the workers join.
+// only mutate it from the goroutine that owns the decode, where the
+// ordered parallel decode (DecodeBinary) also settles its blocks.
 type DecodeStats struct {
 	// BlocksDecoded counts v3 blocks that decoded cleanly.
 	BlocksDecoded int64
@@ -173,6 +173,21 @@ func (s *DecodeStats) String() string {
 
 // record notes one decode failure.
 func (s *DecodeStats) record(class CorruptClass) { s.Errors[class]++ }
+
+// add folds counters tallied apart into s. BytesConsumed is set only
+// where a stream ends, so a non-zero value replaces s's.
+func (s *DecodeStats) add(d *DecodeStats) {
+	s.BlocksDecoded += d.BlocksDecoded
+	s.BlocksSkipped += d.BlocksSkipped
+	s.TracesDecoded += d.TracesDecoded
+	s.TracesDropped += d.TracesDropped
+	for c, n := range d.Errors {
+		s.Errors[c] += n
+	}
+	if d.BytesConsumed != 0 {
+		s.BytesConsumed = d.BytesConsumed
+	}
+}
 
 // DecodeOptions configures the binary decoders' handling of untrusted
 // input. The zero value is the strict, backwards-compatible behaviour:
