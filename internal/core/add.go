@@ -253,7 +253,7 @@ func (st *runState) resolveDivergentOtherSides() bool {
 		if st.severed[a] {
 			continue // already severed via the partner
 		}
-		other := st.otherSide[a]
+		other, _ := st.otherAt(ai) // paired: ai was chosen through otherIdx
 		st.severed[a] = true
 		st.severedIdx[ai] = true
 		st.severed[other] = true

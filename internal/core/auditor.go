@@ -69,7 +69,7 @@ func (st *runState) auditCheckpoint(stage string, iter int) {
 	st.auditInterning(stage, iter)
 	st.auditDirtyDrained(stage, iter)
 	st.auditMirrors(stage, iter)
-	st.auditMemoIP2AS(stage, iter)
+	st.auditBaseASN(stage, iter)
 	st.auditBacking(stage, iter)
 	st.auditElections(stage, iter)
 }
@@ -297,26 +297,21 @@ func (st *runState) auditMirrors(stage string, iter int) {
 	}
 }
 
-// auditMemoIP2AS re-resolves memoised IP→AS entries through the
-// underlying lookup source: a memo hit must be exactly what a direct
-// Chain/Table lookup returns. The sources are frozen for the run, so
-// divergence means the memo was corrupted, not that the source moved.
-func (st *runState) auditMemoIP2AS(stage string, iter int) {
+// auditBaseASN re-resolves the run's base-mapping column through the
+// configured lookup source: every resolved ASN must be exactly what a
+// direct Chain/Table lookup returns. The sources are frozen for the
+// run, so divergence means the column was corrupted, not that the
+// source moved. (The check keeps the name it had when a per-run IP→AS
+// memo held these answers.)
+func (st *runState) auditBaseASN(stage string, iter int) {
 	a := st.auditor
 	stride, off := a.stride()
-	keys := make([]inet.Addr, 0, len(st.ip2as.m))
-	for addr := range st.ip2as.m {
-		keys = append(keys, addr)
-	}
-	slices.Sort(keys)
-	for i := int(off); i < len(keys); i += int(stride) {
-		addr := keys[i]
+	for i := int(off); i < len(st.base.addrs); i += int(stride) {
+		addr := st.base.addrs[i]
 		a.check()
-		hit := st.ip2as.m[addr]
-		asn, ok := st.ip2as.src.Lookup(addr)
-		if hit.asn != asn || hit.ok != ok {
+		if got, want := st.base.asn[i], st.baseLookup(addr); got != want {
 			a.violate("ip2as-memo", stage, iter,
-				"addr %v memoised as (%d,%v), source says (%d,%v)", addr, hit.asn, hit.ok, asn, ok)
+				"addr %v resolved as %d, source says %d", addr, got, want)
 		}
 	}
 }
@@ -440,8 +435,8 @@ func auditPartitionInvariants(pa *runAuditor, ev *Evidence, runs []*compRun) {
 	adjTotal := 0
 	multi := make(map[inet.Addr]bool)
 	for ci, c := range runs {
-		adjTotal += len(c.ev.Adjacencies)
-		for a := range c.ev.AllAddrs {
+		adjTotal += len(c.in.adjs)
+		for _, a := range c.in.addrs {
 			pa.check()
 			if !ev.AllAddrs.Contains(a) {
 				pa.violate("partition-cover", auditStageFinal, 0,
@@ -472,7 +467,7 @@ func auditPartitionInvariants(pa *runAuditor, ev *Evidence, runs []*compRun) {
 	for ci, c := range runs {
 		for k := off; k < int32(len(c.st.addrs)); k += stride {
 			a := c.st.addrs[k]
-			local, observed := c.st.otherSide[a]
+			local, observed := c.st.otherAt(k)
 			if !observed {
 				continue // universe node outside the observed set: no §4.2 pairing
 			}

@@ -155,7 +155,7 @@ func auditFixture(t *testing.T) *runState {
 		tr("62.115.0.9", "4.68.110.186", "91.200.0.9"),
 	)
 	cfg := &Config{IP2AS: ip2as, F: 0.5, Audit: exhaustiveChecker()}
-	st := newRunState(cfg, EvidenceFrom(s))
+	st := newRunState(cfg, inputOf(EvidenceFrom(s)))
 	st.fixpoint()
 	if !st.auditor.report.Ok() {
 		t.Fatalf("fixture not clean before corruption: %v", st.auditor.report.Violations)
@@ -198,12 +198,10 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			t.Fatal("no direct mirror to corrupt")
 		}},
 		{"ip2as-memo", func(t *testing.T, st *runState) {
-			for a, hit := range st.ip2as.m {
-				hit.asn++
-				st.ip2as.m[a] = hit
-				return
+			if len(st.base.asn) == 0 {
+				t.Fatal("no resolved base mapping to corrupt")
 			}
-			t.Fatal("no memo entry to corrupt")
+			st.base.asn[0]++
 		}},
 		{"election-memo", func(t *testing.T, st *runState) {
 			for hi, ok := range st.idx.electValid {

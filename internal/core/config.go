@@ -137,11 +137,12 @@ type Config struct {
 
 	// Audit, when enabled, runs the runtime invariant auditor at every
 	// fixpoint step boundary: the incremental machinery (dirty set,
-	// election memo, maintained state fingerprint, IP→AS memo, intern
-	// index and flat mirrors) is cross-checked against first-principles
-	// recomputation. Violations are collected into Result.Audit and
-	// counted in Result.Diag.AuditViolations; a clean audited run is
-	// byte-identical to an unaudited one. See DESIGN.md §10.
+	// election memo, maintained state fingerprint, resolved IP→AS
+	// column, intern index and flat mirrors) is cross-checked against
+	// first-principles recomputation. Violations are collected into
+	// Result.Audit and counted in Result.Diag.AuditViolations; a clean
+	// audited run is byte-identical to an unaudited one. See DESIGN.md
+	// §10.
 	Audit *audit.Checker
 }
 

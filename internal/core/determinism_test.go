@@ -59,8 +59,8 @@ func TestParallelPipelineDeterminism(t *testing.T) {
 	cfgS := Config{IP2AS: w.Table(), Orgs: orgs, Rels: rels, IXP: dir, F: 0.5, Workers: 1}
 	cfgP := cfgS
 	cfgP.Workers = 8
-	stS := newRunState(&cfgS, evS)
-	stP := newRunState(&cfgP, evP)
+	stS := newRunState(&cfgS, inputOf(evS))
+	stP := newRunState(&cfgP, inputOf(evP))
 	if hS, hP := stS.stateHash(), stP.stateHash(); hS != hP {
 		t.Fatalf("initial stateHash diverges: %x vs %x", hS, hP)
 	}
@@ -107,7 +107,7 @@ func BenchmarkStateHash(b *testing.B) {
 	orgs, rels, dir := w.PublicInputs(topo.DefaultNoiseConfig())
 	cfg := Config{IP2AS: w.Table(), Orgs: orgs, Rels: rels, IXP: dir, F: 0.5}
 	var _ = trace.Stats{} // keep the trace import alongside topo
-	st := newRunState(&cfg, EvidenceFrom(ds.Sanitize()))
+	st := newRunState(&cfg, inputOf(EvidenceFrom(ds.Sanitize())))
 	st.resetInferredOnce()
 	st.addStep(true)
 	st.removeStep()

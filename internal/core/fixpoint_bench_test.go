@@ -49,7 +49,7 @@ func benchFixpoint(b *testing.B, disableIncremental bool) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				st := newRunState(&cfg, ev)
+				st := newRunState(&cfg, inputOf(ev))
 				b.StartTimer()
 				st.fixpoint()
 			}

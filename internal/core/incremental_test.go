@@ -150,7 +150,7 @@ func TestWholeInterfaceNoPhantomOverride(t *testing.T) {
 		tr("62.115.0.5", x, "91.200.0.5"),
 	)
 	cfg := Config{IP2AS: ip2as, F: 0.5, WholeInterfaceUpdates: true}
-	st := newRunState(&cfg, EvidenceFrom(s))
+	st := newRunState(&cfg, inputOf(EvidenceFrom(s)))
 	st.fixpoint()
 	if st.diag.DualResolved < 1 {
 		t.Fatalf("fixture no longer triggers dual resolution (DualResolved=%d)",
@@ -168,7 +168,7 @@ func TestQuickNoPhantomOverrides(t *testing.T) {
 		s := randEvidence(hops)
 		cfg := Config{IP2AS: quickIP2AS(), F: float64(fRaw%11) / 10,
 			WholeInterfaceUpdates: wiu}
-		st := newRunState(&cfg, EvidenceFrom(s))
+		st := newRunState(&cfg, inputOf(EvidenceFrom(s)))
 		st.fixpoint()
 		return len(unbackedOverrides(st)) == 0
 	}
@@ -185,7 +185,7 @@ func TestIncrementalMapIDConsistency(t *testing.T) {
 	f := func(hops []uint16, fRaw uint8) bool {
 		s := randEvidence(hops)
 		cfg := Config{IP2AS: quickIP2AS(), F: float64(fRaw%11) / 10}
-		st := newRunState(&cfg, EvidenceFrom(s))
+		st := newRunState(&cfg, inputOf(EvidenceFrom(s)))
 		st.fixpoint()
 		// The incrementally maintained §4.6 fingerprint must equal the
 		// from-scratch recompute: every mutation funnel kept it in step.

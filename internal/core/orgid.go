@@ -26,12 +26,11 @@ import (
 //     election's sibling pooling (§4.9) is one array load per neighbour
 //     instead of a union-find walk.
 type internIndex struct {
-	idxOfAddr map[inet.Addr]int32
-	asnOf     []inet.ASN         // asnID → ASN
-	idOfASN   map[inet.ASN]int32 // ASN → asnID
-	orgOfASN  []int32            // asnID → orgID
-	orgIDOf   map[inet.ASN]int32 // canonical ASN → orgID
-	orgCount  int
+	asnOf    []inet.ASN         // asnID → ASN
+	idOfASN  map[inet.ASN]int32 // ASN → asnID
+	orgOfASN []int32            // asnID → orgID
+	orgIDOf  map[inet.ASN]int32 // canonical ASN → orgID
+	orgCount int
 
 	baseID []int32 // addrIdx → asnID of the base mapping (-1 unannounced)
 	mapID  []int32 // halfIdx → asnID of the committed mapping (-1 unannounced)
@@ -54,16 +53,17 @@ type internIndex struct {
 	depOff  []int32
 	depFlat []int32
 
-	// halvesIdx is st.halves as half indexes — the full-pass scan list.
+	// halvesIdx lists the eligible (|N| ≥ 2) halves in halfCmp order —
+	// the full-pass scan list.
 	halvesIdx []int32
 
 	// Flat topology mirrors for the per-pass resolution loops:
 	// otherIdx[a] is the addrIdx of a's §4.2 other side (-1 when it has
 	// none or the other side never appeared adjacent to anything, in
-	// which case no inference can exist on it); ixpA[a] mirrors
-	// st.ixpAddr; soleFwdNbr[a] is the addrIdx of the single member of
-	// N_F(a) when |N_F(a)| == 1 — the §4.8 stub candidate precondition —
-	// and -1 otherwise.
+	// which case no inference can exist on it); ixpA[a] is a's IXP flag
+	// from the base columns; soleFwdNbr[a] is the addrIdx of the single
+	// member of N_F(a) when |N_F(a)| == 1 — the §4.8 stub candidate
+	// precondition — and -1 otherwise.
 	otherIdx   []int32
 	ixpA       []bool
 	soleFwdNbr []int32
@@ -84,11 +84,19 @@ type internIndex struct {
 // anything). Such halves can hold overrides, but no election ever reads
 // them.
 func (st *runState) halfIdx(h Half) int32 {
-	i, ok := st.idx.idxOfAddr[h.Addr]
-	if !ok {
+	i := st.addrIdx(h.Addr)
+	if i < 0 {
 		return -1
 	}
 	return halfSlot(i, h.Dir)
+}
+
+// addrIdx returns a's position in the sorted interface universe, or -1.
+func (st *runState) addrIdx(a inet.Addr) int32 {
+	if i, ok := slices.BinarySearch(st.addrs, a); ok {
+		return int32(i)
+	}
+	return -1
 }
 
 // halfAt inverts halfIdx.
@@ -124,46 +132,55 @@ func (st *runState) internOrg(canonical inet.ASN) int32 {
 }
 
 // buildIndex constructs the intern index after addrs, neighbour sets,
-// base mappings, and IXP flags are final. The neighbour and dependency
-// flattening is pure per-address work, so it shards across workers into
-// per-chunk partials concatenated in chunk order.
+// other sides and base columns are final. No address-keyed map is
+// built: per-address columns come from merge walks over sorted slices,
+// a neighbour's addrIdx from a binary search over addrs, and an other
+// side's from the two entries beside its address — a §4.2 other side
+// (a^1, or a^3 for a /30 host) always differs from its address by
+// one. The neighbour and dependency flattening is pure per-address
+// work, so it shards across workers into per-chunk partials
+// concatenated in chunk order.
 func (st *runState) buildIndex() {
 	ix := &st.idx
 	n := len(st.addrs)
-	ix.idxOfAddr = make(map[inet.Addr]int32, n)
-	for i, a := range st.addrs {
-		ix.idxOfAddr[a] = int32(i)
-	}
 
 	// Intern the announced base-mapping universe in sorted order, so the
-	// initial asnID order matches ASN order.
+	// initial asnID order matches ASN order. Neighbouring addresses
+	// mostly share an origin, so dropping repeats first leaves a short
+	// list to sort.
 	ix.idOfASN = make(map[inet.ASN]int32)
 	ix.orgIDOf = make(map[inet.ASN]int32)
-	seen := make(map[inet.ASN]bool, len(st.baseAS))
-	for _, asn := range st.baseAS {
-		if !asn.IsZero() {
-			seen[asn] = true
+	var universe []inet.ASN
+	var prev inet.ASN
+	for _, asn := range st.base.asn {
+		if !asn.IsZero() && asn != prev {
+			universe = append(universe, asn)
 		}
-	}
-	universe := make([]inet.ASN, 0, len(seen))
-	for asn := range seen {
-		universe = append(universe, asn)
+		prev = asn
 	}
 	slices.Sort(universe)
-	for _, asn := range universe {
+	for _, asn := range slices.Compact(universe) {
 		st.internASN(asn)
 	}
 
+	// Base-mapping and IXP columns by one merge walk: addrs is a sorted
+	// subset of the base universe.
 	ix.baseID = make([]int32, n)
 	ix.mapID = make([]int32, 2*n)
+	ix.ixpA = make([]bool, n)
+	j := 0
 	for i, a := range st.addrs {
+		for st.base.addrs[j] != a {
+			j++
+		}
 		id := int32(-1)
-		if asn := st.baseAS[a]; !asn.IsZero() {
+		if asn := st.base.asn[j]; !asn.IsZero() {
 			id = ix.idOfASN[asn]
 		}
 		ix.baseID[i] = id
 		ix.mapID[2*i] = id
 		ix.mapID[2*i+1] = id
+		ix.ixpA[i] = st.base.ixp[j]
 	}
 
 	// Flatten neighbour lists and reverse dependencies. For half
@@ -173,12 +190,7 @@ func (st *runState) buildIndex() {
 	// half's election (when eligible) reads (a, d)'s.
 	workers := st.cfg.workers()
 	ix.otherIdx = make([]int32, n)
-	ix.ixpA = make([]bool, n)
 	ix.soleFwdNbr = make([]int32, n)
-	for i := range ix.otherIdx {
-		ix.otherIdx[i] = -1
-		ix.soleFwdNbr[i] = -1
-	}
 	type part struct {
 		nbrFlat, depFlat []int32
 		nbrCnt, depCnt   []int32 // per half within the chunk
@@ -189,11 +201,13 @@ func (st *runState) buildIndex() {
 		p.nbrCnt = make([]int32, 2*(hi-lo))
 		p.depCnt = make([]int32, 2*(hi-lo))
 		for i := lo; i < hi; i++ {
-			a := st.addrs[i]
-			ix.ixpA[i] = st.ixpAddr[a]
-			if o, ok := st.otherSide[a]; ok {
-				if oi, ok := ix.idxOfAddr[o]; ok {
-					ix.otherIdx[i] = oi
+			ix.otherIdx[i] = -1
+			ix.soleFwdNbr[i] = -1
+			if o, ok := st.otherAt(int32(i)); ok {
+				for _, k := range [2]int{i - 1, i + 1} {
+					if k >= 0 && k < n && st.addrs[k] == o {
+						ix.otherIdx[i] = int32(k)
+					}
 				}
 			}
 			for _, d := range [2]Direction{Forward, Backward} {
@@ -204,30 +218,30 @@ func (st *runState) buildIndex() {
 					nbrs, readers = st.nbrB[i], st.nbrF
 				}
 				slot := 2*(i-lo) + int(d)
-				if len(nbrs) >= 2 { // eligible: election operand
-					for _, nb := range nbrs {
-						ni := halfSlot(ix.idxOfAddr[nb], d.Opposite())
-						if st.ixpAddr[nb] {
-							ni = ^ni // negative: no AS vote, half recoverable
-						}
-						p.nbrFlat = append(p.nbrFlat, ni)
-					}
-					p.nbrCnt[slot] = int32(len(nbrs))
-				}
-				if d == Forward && len(nbrs) == 1 {
-					ix.soleFwdNbr[i] = ix.idxOfAddr[nbrs[0]]
-				}
-				if st.ixpAddr[a] {
-					continue // elections never read IXP mappings
-				}
+				eligible := len(nbrs) >= 2 // election operand
 				for _, nb := range nbrs {
-					// The reader half is eligible iff its own
-					// neighbour list (opposite side of nb) has ≥ 2
-					// members.
-					if ni := ix.idxOfAddr[nb]; len(readers[ni]) >= 2 {
-						p.depFlat = append(p.depFlat, halfSlot(ni, d.Opposite()))
+					ni := st.addrIdx(nb)
+					nh := halfSlot(ni, d.Opposite())
+					if eligible {
+						if ix.ixpA[ni] {
+							p.nbrFlat = append(p.nbrFlat, ^nh) // negative: no AS vote, half recoverable
+						} else {
+							p.nbrFlat = append(p.nbrFlat, nh)
+						}
+					}
+					if d == Forward && len(nbrs) == 1 {
+						ix.soleFwdNbr[i] = ni
+					}
+					// Elections never read IXP mappings. The reader half
+					// is eligible iff its own neighbour list (opposite
+					// side of nb) has ≥ 2 members.
+					if !ix.ixpA[i] && len(readers[ni]) >= 2 {
+						p.depFlat = append(p.depFlat, nh)
 						p.depCnt[slot]++
 					}
+				}
+				if eligible {
+					p.nbrCnt[slot] = int32(len(nbrs))
 				}
 			}
 		}
@@ -252,10 +266,6 @@ func (st *runState) buildIndex() {
 		ix.depFlat = append(ix.depFlat, p.depFlat...)
 	}
 
-	ix.halvesIdx = make([]int32, len(st.halves))
-	for i, h := range st.halves {
-		ix.halvesIdx[i] = halfSlot(ix.idxOfAddr[h.Addr], h.Dir)
-	}
 	ix.electCache = make([]countResult, 2*n)
 	ix.electValid = make([]bool, 2*n)
 
@@ -275,27 +285,27 @@ func (st *runState) buildIndex() {
 	st.severedIdx = make([]bool, n)
 	st.inferredOnce = make([]bool, 2*n)
 	st.dirty.mark = make([]bool, 2*n)
-	st.dirty.list = make([]int32, 0, len(st.halves))
-	st.dirty.scratch = make([]int32, 0, len(st.halves))
+	st.dirty.list = make([]int32, 0, len(ix.halvesIdx))
+	st.dirty.scratch = make([]int32, 0, len(ix.halvesIdx))
 	st.electScr = make([]electScratch, workers)
 	for w := range st.electScr {
 		st.electScr[w].ensure(ix.orgCount, len(ix.asnOf))
 	}
 	st.demoteBuf = make([]int32, 0, 64)
 	st.purgeBuf = make([]Half, 0, 64)
-	// Re-make the inference maps with real capacity now that the
+	// Make the inference maps with real capacity now that the
 	// eligible-half count is known: direct inferences land only on
 	// eligible halves, and overrides track inferences plus their other
 	// sides. Sizing up front keeps incremental rehashes out of the
 	// fixpoint loop.
-	st.direct = make(map[Half]*directInf, len(st.halves)/2+16)
-	st.indirect = make(map[Half]Half, len(st.halves)/2+16)
-	st.overrides = make(map[Half]inet.ASN, len(st.halves)+16)
+	st.direct = make(map[Half]*directInf, len(ix.halvesIdx)/2+16)
+	st.indirect = make(map[Half]Half, len(ix.halvesIdx)/2+16)
+	st.overrides = make(map[Half]inet.ASN, len(ix.halvesIdx)+16)
 	if !st.cfg.DisableIncremental {
 		// Double buffers of the maintained direct index (sortedDirectIdxs
 		// swaps them); direct inferences only land on eligible halves.
-		st.directIdxs = make([]int32, 0, len(st.halves))
-		st.directMerge = make([]int32, 0, len(st.halves))
+		st.directIdxs = make([]int32, 0, len(ix.halvesIdx))
+		st.directMerge = make([]int32, 0, len(ix.halvesIdx))
 	}
 }
 

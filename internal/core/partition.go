@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -105,7 +106,7 @@ func (u *unionFind) union(a, b int32) {
 	u.size[ra] += u.size[rb]
 }
 
-// partitionEvidence splits the evidence into closed inference
+// partitionEvidence splits a run's input into closed inference
 // components: addresses are unioned along every trace adjacency (the
 // §4.3 channel) and across every shared aligned /30 block (the §4.2
 // channel — InferOtherSide never consults or returns an address
@@ -113,34 +114,49 @@ func (u *unionFind) union(a, b int32) {
 // observed addresses claiming one unobserved other side). The node
 // universe is the observed set plus any adjacency endpoint, so
 // caller-built Evidence with endpoints outside AllAddrs still
-// partitions soundly. Returns one sub-Evidence per component in
-// scheduling order: observed-address count descending, minimum address
-// ascending on ties. Component adjacency slices preserve the global
-// (sorted) order, so every per-component derived structure is the
-// restriction of its global counterpart. Returns nil when the evidence
-// is fewer than two components — the caller falls back to the
-// monolithic engine, so no sub-evidence is materialised.
-func partitionEvidence(ev *Evidence) []*Evidence {
-	nodes := make([]inet.Addr, 0, len(ev.AllAddrs))
-	for a := range ev.AllAddrs {
-		nodes = append(nodes, a)
-	}
-	for _, adj := range ev.Adjacencies {
-		if !ev.AllAddrs.Contains(adj.First) {
-			nodes = append(nodes, adj.First)
+// partitions soundly.
+//
+// Everything runs over slice indexes of the sorted node universe:
+// endpoints resolve by binary search, and each component's input is a
+// capacity-clipped window into one flat address array and one flat
+// adjacency array, laid out in scheduling order. Returns one input per
+// component in that order: observed-address count descending, minimum
+// address ascending on ties. Component addresses stay ascending and
+// component adjacencies keep the global order, so every per-component
+// derived structure is the restriction of its global counterpart.
+// Returns nil when the input is fewer than two components — the caller
+// falls back to the monolithic engine, so no sub-input is materialised.
+func partitionEvidence(in runInput) []runInput {
+	// Endpoint node indexes, two per adjacency. In the common case every
+	// endpoint is observed and the observed slice is the node universe;
+	// otherwise the outside endpoints are merged in and the search is
+	// redone over the widened universe.
+	nodes := in.addrs
+	ends := make([]int32, 2*len(in.adjs))
+	var outside []inet.Addr
+	var outsider []bool // by node; nil when every node is observed
+	for k := range ends {
+		a := adjEnd(in.adjs, k)
+		i, ok := slices.BinarySearch(nodes, a)
+		if !ok {
+			outside = append(outside, a)
 		}
-		if !ev.AllAddrs.Contains(adj.Second) {
-			nodes = append(nodes, adj.Second)
-		}
+		ends[k] = int32(i)
 	}
-	slices.Sort(nodes)
-	nodes = slices.Compact(nodes)
-	// Nodes are sorted and unique, so binary search stands in for an
-	// address→index map — the map's build cost used to dominate the
-	// whole sweep on single-component evidence.
-	index := func(a inet.Addr) int32 {
-		i, _ := slices.BinarySearch(nodes, a)
-		return int32(i)
+	if outside != nil {
+		slices.Sort(outside)
+		outside = slices.Compact(outside)
+		nodes = append(slices.Clone(in.addrs), outside...)
+		slices.Sort(nodes)
+		for k := range ends {
+			i, _ := slices.BinarySearch(nodes, adjEnd(in.adjs, k))
+			ends[k] = int32(i)
+		}
+		outsider = make([]bool, len(nodes))
+		for _, a := range outside {
+			i, _ := slices.BinarySearch(nodes, a)
+			outsider[i] = true
+		}
 	}
 
 	uf := newUnionFind(len(nodes))
@@ -153,70 +169,99 @@ func partitionEvidence(ev *Evidence) []*Evidence {
 		}
 	}
 	// §4.3 closure: both endpoints of every adjacency.
-	for _, adj := range ev.Adjacencies {
-		uf.union(index(adj.First), index(adj.Second))
+	for k := 0; k < len(ends); k += 2 {
+		uf.union(ends[k], ends[k+1])
 	}
 
 	// Dense component ids, assigned in sorted-node order so component 0
 	// holds the smallest root address (deterministic regardless of the
-	// union order above).
+	// union order above). compOf first maps each root to its id.
 	compOf := make([]int32, len(nodes))
-	rootComp := make(map[int32]int32)
-	nComp := 0
+	for i := range compOf {
+		compOf[i] = -1
+	}
+	nComp := int32(0)
 	for i := range nodes {
 		r := uf.find(int32(i))
-		c, ok := rootComp[r]
-		if !ok {
-			c = int32(nComp)
-			rootComp[r] = c
+		if compOf[r] < 0 {
+			compOf[r] = nComp
 			nComp++
 		}
-		compOf[i] = c
+		compOf[i] = compOf[r]
 	}
 	// The common adversarial shape — one giant connected component —
-	// exits here, before any sub-evidence is materialised: a fallback
-	// run pays only the union-find sweep, never an evidence copy.
+	// exits here, before any sub-input is materialised: a fallback run
+	// pays only the union-find sweep, never an evidence copy.
 	if nComp < 2 {
 		return nil
 	}
 
-	comps := make([]*Evidence, nComp)
-	adjCount := make([]int, nComp)
-	adjComp := make([]int32, len(ev.Adjacencies))
-	for i, adj := range ev.Adjacencies {
-		c := compOf[index(adj.First)] // == compOf of Second: they are unioned
-		adjComp[i] = c
-		adjCount[c]++
-	}
-	for c := range comps {
-		comps[c] = &Evidence{
-			AllAddrs:    make(inet.AddrSet),
-			Adjacencies: make([]trace.Adjacency, 0, adjCount[c]),
+	// Observed-address and adjacency counts per component. A node is
+	// observed unless it came from outside.
+	observed := func(i int) bool { return outsider == nil || !outsider[i] }
+	addrCount := make([]int32, nComp)
+	adjCount := make([]int32, nComp)
+	for i := range nodes {
+		if observed(i) {
+			addrCount[compOf[i]]++
 		}
 	}
-	for i, a := range nodes {
-		if ev.AllAddrs.Contains(a) {
-			comps[compOf[i]].AllAddrs.Add(a)
-		}
-	}
-	for i, adj := range ev.Adjacencies {
-		comps[adjComp[i]].Adjacencies = append(comps[adjComp[i]].Adjacencies, adj)
+	for k := 0; k < len(ends); k += 2 {
+		adjCount[compOf[ends[k]]]++ // == compOf of Second: they are unioned
 	}
 
 	// Scheduling order: largest observed-address count first, minimum
 	// address breaking ties. Component ids were assigned in ascending
 	// min-address order, so a stable sort on size alone is exactly that
 	// tie-break.
-	slices.SortStableFunc(comps, func(a, b *Evidence) int {
-		switch {
-		case len(a.AllAddrs) > len(b.AllAddrs):
-			return -1
-		case len(a.AllAddrs) < len(b.AllAddrs):
-			return 1
-		}
-		return 0
+	order := make([]int32, nComp)
+	for c := range order {
+		order[c] = int32(c)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return cmp.Compare(addrCount[b], addrCount[a])
 	})
+
+	// Carve the flat arrays in scheduling order, then scatter: nodes
+	// ascend and adjacencies keep their order, so each window fills in
+	// the order its restriction requires.
+	addrFlat := make([]inet.Addr, len(in.addrs))
+	adjFlat := make([]trace.Adjacency, len(in.adjs))
+	comps := make([]runInput, nComp)
+	addrAt := make([]int32, nComp) // next free slot per component
+	adjAt := make([]int32, nComp)
+	var ao, jo int32
+	for rank, c := range order {
+		comps[rank] = runInput{
+			addrs: addrFlat[ao : ao+addrCount[c] : ao+addrCount[c]],
+			adjs:  adjFlat[jo : jo+adjCount[c] : jo+adjCount[c]],
+		}
+		addrAt[c], adjAt[c] = ao, jo
+		ao += addrCount[c]
+		jo += adjCount[c]
+	}
+	for i, a := range nodes {
+		if observed(i) {
+			c := compOf[i]
+			addrFlat[addrAt[c]] = a
+			addrAt[c]++
+		}
+	}
+	for k, adj := range in.adjs {
+		c := compOf[ends[2*k]]
+		adjFlat[adjAt[c]] = adj
+		adjAt[c]++
+	}
 	return comps
+}
+
+// adjEnd returns endpoint k of adjs: k = 2i is adjacency i's First,
+// k = 2i+1 its Second.
+func adjEnd(adjs []trace.Adjacency, k int) inet.Addr {
+	if k&1 == 0 {
+		return adjs[k>>1].First
+	}
+	return adjs[k>>1].Second
 }
 
 // iterRec records the externally observable deltas of one component
@@ -230,14 +275,14 @@ type iterRec struct {
 	// (quiet) add pass — the component's stable same-organisation dual
 	// count, which the monolithic run re-counts once per global add
 	// pass even after this component stops changing.
-	quietDual int
+	quietDual                         int
 	dualSame, dualResolved, divergent int
 	inverse, uncertain, demoted       int
 }
 
 // compRun is one component's execution.
 type compRun struct {
-	ev      *Evidence
+	in      runInput
 	cfg     Config
 	st      *runState
 	hash0   uint64
@@ -374,7 +419,7 @@ func alignIterations(runs []*compRun, maxIter int) int {
 // a steady-state cost. The replayed state carries the component's
 // audit report (it audited the execution that produced the output).
 func replayComponent(c *compRun, T int) {
-	st := newRunState(&c.cfg, c.ev)
+	st := newRunState(&c.cfg, c.in)
 	for iter := 1; iter <= T; iter++ {
 		st.diag.Iterations = iter
 		st.resetInferredOnce()
@@ -476,7 +521,7 @@ func forEachComponent(workers, n int, f func(i int)) {
 // (snapshots are defined on the global interleaving), or fewer than
 // two components. Outputs are byte-identical to the monolithic engine
 // for every worker count.
-func runPartitioned(cfg *Config, ev *Evidence) (*Result, *PartitionInfo) {
+func runPartitioned(cfg *Config, ev *Evidence, in runInput) (*Result, *PartitionInfo) {
 	if cfg.DisablePartition {
 		return nil, nil
 	}
@@ -485,13 +530,13 @@ func runPartitioned(cfg *Config, ev *Evidence) (*Result, *PartitionInfo) {
 	}
 
 	ctx := context.Background()
-	var comps []*Evidence
+	var comps []runInput
 	pprof.Do(ctx, pprof.Labels("mapit_phase", "partition"), func(context.Context) {
-		comps = partitionEvidence(ev)
+		comps = partitionEvidence(in)
 	})
 	if comps == nil {
 		info := &PartitionInfo{Fallback: "single-component"}
-		if n := len(ev.AllAddrs); n > 0 {
+		if n := len(in.addrs); n > 0 {
 			info.Components = 1
 			info.Sizes = []int{n}
 			info.GiantShare = 1
@@ -512,11 +557,11 @@ func runPartitioned(cfg *Config, ev *Evidence) (*Result, *PartitionInfo) {
 	)
 	pprof.Do(ctx, pprof.Labels("mapit_phase", "fixpoint"), func(context.Context) {
 		forEachComponent(cfg.workers(), len(comps), func(i int) {
-			c := &compRun{ev: comps[i], cfg: *cfg}
+			c := &compRun{in: comps[i], cfg: *cfg}
 			if i > 0 {
 				c.cfg.Workers = 1
 			}
-			c.st = newRunState(&c.cfg, c.ev)
+			c.st = newRunState(&c.cfg, c.in)
 			c.hash0, c.recs, c.settled = c.st.fixpointTraced()
 			runs[i] = c
 		})
@@ -553,7 +598,7 @@ func runPartitioned(cfg *Config, ev *Evidence) (*Result, *PartitionInfo) {
 	pprof.Do(ctx, pprof.Labels("mapit_phase", "merge"), func(context.Context) {
 		mergeResults(cfg, ev, runs, results, probes, r, T)
 	})
-	r.Partition = partitionInfo(ev, runs, replays)
+	r.Partition = partitionInfo(len(in.addrs), runs, replays)
 	return r, nil
 }
 
@@ -600,10 +645,10 @@ func mergeResults(cfg *Config, ev *Evidence, runs []*compRun,
 }
 
 // partitionInfo assembles the decomposition observability record.
-func partitionInfo(ev *Evidence, runs []*compRun, replays int) *PartitionInfo {
+func partitionInfo(total int, runs []*compRun, replays int) *PartitionInfo {
 	info := &PartitionInfo{Components: len(runs), Replays: replays}
 	for _, c := range runs {
-		sz := len(c.ev.AllAddrs)
+		sz := len(c.in.addrs)
 		info.Sizes = append(info.Sizes, sz)
 		info.Iterations = append(info.Iterations, len(c.recs))
 		bucket := bits.Len(uint(sz)) // size 0 → bucket 0
@@ -615,8 +660,8 @@ func partitionInfo(ev *Evidence, runs []*compRun, replays int) *PartitionInfo {
 		}
 		info.SizeHistogram[bucket]++
 	}
-	if len(ev.AllAddrs) > 0 {
-		info.GiantShare = float64(info.Sizes[0]) / float64(len(ev.AllAddrs))
+	if total > 0 {
+		info.GiantShare = float64(info.Sizes[0]) / float64(total)
 	}
 	return info
 }

@@ -74,3 +74,29 @@ func benchIslandEvidence(n int) (*Evidence, Config) {
 	d := &trace.Dataset{Traces: traces}
 	return EvidenceFrom(d.Sanitize()), Config{IP2AS: bgp.NewTable(anns), F: 0.5}
 }
+
+// runEvidenceAllocCeiling bounds the allocations of one partitioned
+// RunEvidence over the islands corpus of BenchmarkFixpointPartitioned
+// at two workers. The run state is built from sorted slices with no
+// address-keyed maps; 17.6k allocations per run measured on linux/amd64
+// (25.7k when every component built its own address maps). The ceiling
+// is that measurement plus 10%, so a per-component map creeping back
+// fails the plain test run.
+const runEvidenceAllocCeiling = 19300
+
+func TestRunEvidenceAllocCeiling(t *testing.T) {
+	ev, cfg := benchIslandEvidence(6)
+	cfg.Workers = 2
+	cfg.freeze()
+	allocs := testing.AllocsPerRun(3, func() {
+		r, err := RunEvidence(ev, cfg)
+		if err != nil || r.Partition == nil || r.Partition.Fallback != "" {
+			t.Fatalf("islands run did not partition: %v, %s", err, r.Partition.String())
+		}
+	})
+	t.Logf("RunEvidence islands/partitioned: %.0f allocs/run (ceiling %d)", allocs, runEvidenceAllocCeiling)
+	if allocs > runEvidenceAllocCeiling {
+		t.Errorf("RunEvidence islands/partitioned allocates %.0f times per run, ceiling %d",
+			allocs, runEvidenceAllocCeiling)
+	}
+}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mapit/internal/bgp"
@@ -26,9 +28,9 @@ func evidence(addrs []string, adjs ...[2]string) *Evidence {
 
 // compAddrs renders a component's observed addresses as a sorted set for
 // comparison.
-func compAddrs(ev *Evidence) map[string]bool {
-	m := make(map[string]bool, len(ev.AllAddrs))
-	for a := range ev.AllAddrs {
+func compAddrs(in runInput) map[string]bool {
+	m := make(map[string]bool, len(in.addrs))
+	for _, a := range in.addrs {
 		m[a.String()] = true
 	}
 	return m
@@ -162,7 +164,7 @@ func TestPartitionEvidenceClosure(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			comps := partitionEvidence(tc.ev)
+			comps := partitionEvidence(inputOf(tc.ev))
 			if len(tc.want) == 1 {
 				// A single component is reported as nil: everything
 				// merged, and the caller would fall back without
@@ -180,10 +182,10 @@ func TestPartitionEvidenceClosure(t *testing.T) {
 				if got := compAddrs(comp); !reflect.DeepEqual(got, tc.want[i]) {
 					t.Errorf("component %d: got %v, want %v", i, got, tc.want[i])
 				}
-				adjTotal += len(comp.Adjacencies)
-				for _, adj := range comp.Adjacencies {
+				adjTotal += len(comp.adjs)
+				for _, adj := range comp.adjs {
 					for _, a := range [2]inet.Addr{adj.First, adj.Second} {
-						if tc.ev.AllAddrs.Contains(a) && !comp.AllAddrs.Contains(a) {
+						if tc.ev.AllAddrs.Contains(a) && !slices.Contains(comp.addrs, a) {
 							t.Errorf("component %d: adjacency endpoint %v crosses the boundary", i, a)
 						}
 					}
@@ -225,8 +227,8 @@ func islandEvidence(t testing.TB, seed int64, nIslands int) (*Evidence, Config) 
 func TestComponentElectionInputsMatchGlobal(t *testing.T) {
 	ev, cfg := islandEvidence(t, 11, 2)
 	cfg.freeze()
-	global := newRunState(&cfg, ev)
-	comps := partitionEvidence(ev)
+	global := newRunState(&cfg, inputOf(ev))
+	comps := partitionEvidence(inputOf(ev))
 	if len(comps) < 2 {
 		t.Fatalf("island evidence produced %d components, want >= 2", len(comps))
 	}
@@ -239,14 +241,17 @@ func TestComponentElectionInputsMatchGlobal(t *testing.T) {
 			if !reflect.DeepEqual(st.neighbors(Half{a, Backward}), global.neighbors(Half{a, Backward})) {
 				t.Fatalf("component %d: N_B(%v) diverges from global", ci, a)
 			}
-			if st.otherSide[a] != global.otherSide[a] {
+			li, gi := st.addrIdx(a), global.addrIdx(a)
+			lo, lok := st.otherAt(li)
+			gl, gok := global.otherAt(gi)
+			if lo != gl || lok != gok {
 				t.Fatalf("component %d: otherSide(%v) = %v, global %v",
-					ci, a, st.otherSide[a], global.otherSide[a])
+					ci, a, lo, gl)
 			}
-			if st.baseAS[a] != global.baseAS[a] {
+			if st.baseAS(a) != global.baseAS(a) {
 				t.Fatalf("component %d: baseAS(%v) diverges from global", ci, a)
 			}
-			if st.ixpAddr[a] != global.ixpAddr[a] {
+			if st.idx.ixpA[li] != global.idx.ixpA[gi] {
 				t.Fatalf("component %d: ixpAddr(%v) diverges from global", ci, a)
 			}
 		}
@@ -512,8 +517,8 @@ func TestReplayComponent(t *testing.T) {
 	)
 	cfg := Config{IP2AS: table("10.0.0.0/16=100", "10.0.4.0/24=200"), F: 0.5}
 	cfg.freeze()
-	c := &compRun{ev: ev, cfg: cfg}
-	c.st = newRunState(&c.cfg, c.ev)
+	c := &compRun{in: inputOf(ev), cfg: cfg}
+	c.st = newRunState(&c.cfg, c.in)
 	c.hash0, c.recs, c.settled = c.st.fixpointTraced()
 	if len(c.recs) == 0 {
 		t.Fatal("no iterations traced")
@@ -557,5 +562,164 @@ func TestPartitionInfoString(t *testing.T) {
 	want := "components=3 giant_share=0.500 replays=0 iterations=[3 2 2] size_hist=[2^0:0 2^1:1 2^2:2]"
 	if got := info.String(); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
+// checkComponentInputs asserts the shape partitionEvidence promises for
+// its component inputs: each address window ascends and is
+// capacity-clipped (an append to one reallocates instead of writing
+// into the next window of the shared flat array), the windows are
+// disjoint and their union is exactly the observed set, every
+// adjacency lands in exactly one component, and an observed adjacency
+// endpoint lies in its adjacency's component.
+func checkComponentInputs(t *testing.T, label string, in runInput, comps []runInput) {
+	t.Helper()
+	var union []inet.Addr
+	adjs := 0
+	for ci, c := range comps {
+		if !slices.IsSorted(c.addrs) || len(slices.Compact(slices.Clone(c.addrs))) != len(c.addrs) {
+			t.Errorf("%s: component %d addresses are not ascending and unique", label, ci)
+		}
+		if cap(c.addrs) != len(c.addrs) || cap(c.adjs) != len(c.adjs) {
+			t.Errorf("%s: component %d windows not capacity-clipped (addrs %d/%d, adjs %d/%d)",
+				label, ci, len(c.addrs), cap(c.addrs), len(c.adjs), cap(c.adjs))
+		}
+		union = append(union, c.addrs...)
+		adjs += len(c.adjs)
+		for _, adj := range c.adjs {
+			for _, a := range [2]inet.Addr{adj.First, adj.Second} {
+				if _, obs := slices.BinarySearch(in.addrs, a); obs && !slices.Contains(c.addrs, a) {
+					t.Errorf("%s: component %d adjacency endpoint %v crosses the boundary", label, ci, a)
+				}
+			}
+		}
+	}
+	slices.Sort(union)
+	if !slices.Equal(union, in.addrs) {
+		t.Errorf("%s: components cover %d addresses, observed set has %d (or they differ)",
+			label, len(union), len(in.addrs))
+	}
+	if adjs != len(in.adjs) {
+		t.Errorf("%s: components hold %d adjacencies, input has %d", label, adjs, len(in.adjs))
+	}
+	// Appending to each window must leave every other window intact.
+	before := make([][]inet.Addr, len(comps))
+	for ci, c := range comps {
+		before[ci] = slices.Clone(c.addrs)
+	}
+	for ci := range comps {
+		_ = append(comps[ci].addrs, ^inet.Addr(0))
+		_ = append(comps[ci].adjs, trace.Adjacency{})
+	}
+	for ci, c := range comps {
+		if !slices.Equal(c.addrs, before[ci]) {
+			t.Fatalf("%s: an append to a neighbouring window overwrote component %d", label, ci)
+		}
+	}
+}
+
+// TestPartitionComponentInputs checks the component windows on island
+// evidence, and the degenerate inputs: no evidence at all, and evidence
+// of isolated addresses only (every /30 block its own component).
+func TestPartitionComponentInputs(t *testing.T) {
+	ev, _ := islandEvidence(t, 11, 3)
+	in := inputOf(ev)
+	comps := partitionEvidence(in)
+	if len(comps) < 3 {
+		t.Fatalf("island evidence produced %d components, want >= 3", len(comps))
+	}
+	checkComponentInputs(t, "islands", in, comps)
+
+	if comps := partitionEvidence(inputOf(evidence(nil))); comps != nil {
+		t.Errorf("empty evidence partitioned into %d components, want nil", len(comps))
+	}
+
+	var singles []string
+	for i := 0; i < 9; i++ {
+		singles = append(singles, fmt.Sprintf("10.%d.0.1", 9-i))
+	}
+	in = inputOf(evidence(singles))
+	comps = partitionEvidence(in)
+	if len(comps) != len(singles) {
+		t.Fatalf("all-singleton evidence: %d components, want %d", len(comps), len(singles))
+	}
+	checkComponentInputs(t, "singletons", in, comps)
+	for i, c := range comps {
+		// Equal sizes: scheduling falls back to ascending address.
+		if len(c.addrs) != 1 || c.addrs[0] != in.addrs[i] || len(c.adjs) != 0 {
+			t.Errorf("singleton component %d = %v, want [%v]", i, c.addrs, in.addrs[i])
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		cfg := Config{IP2AS: table("10.0.0.0/8=100"), F: 0.5, Workers: workers}
+		r, err := RunEvidence(evidence(singles), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Partition == nil || r.Partition.Components != len(singles) || len(r.Inferences) != 0 {
+			t.Errorf("workers=%d: singleton run = %d inferences, partition %s",
+				workers, len(r.Inferences), r.Partition.String())
+		}
+		r, err = RunEvidence(evidence(nil), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Partition == nil || r.Partition.Fallback != "single-component" ||
+			r.Partition.Components != 0 || len(r.Inferences) != 0 {
+			t.Errorf("workers=%d: empty run = %d inferences, partition %+v",
+				workers, len(r.Inferences), r.Partition)
+		}
+	}
+}
+
+// TestPartitionOutsideEndpointsSound runs caller-built evidence whose
+// adjacency endpoints partly lie outside AllAddrs, with the adjacencies
+// in no particular order: the partition must still cover the observed
+// set with closed components, and the partitioned engine must match the
+// monolithic one with a clean exhaustive audit.
+func TestPartitionOutsideEndpointsSound(t *testing.T) {
+	ev, cfg := islandEvidence(t, 17, 3)
+	sorted := inputOf(ev).addrs
+	caller := &Evidence{AllAddrs: make(inet.AddrSet)}
+	for i, a := range sorted {
+		if i%5 != 2 { // every fifth address observed only as an endpoint
+			caller.AllAddrs.Add(a)
+		}
+	}
+	caller.Adjacencies = slices.Clone(ev.Adjacencies)
+	rand.New(rand.NewSource(3)).Shuffle(len(caller.Adjacencies), func(i, j int) {
+		caller.Adjacencies[i], caller.Adjacencies[j] = caller.Adjacencies[j], caller.Adjacencies[i]
+	})
+
+	in := inputOf(caller)
+	comps := partitionEvidence(in)
+	if len(comps) < 2 {
+		t.Fatalf("caller evidence produced %d components, want >= 2", len(comps))
+	}
+	checkComponentInputs(t, "outside-endpoints", in, comps)
+
+	cfg.Audit = exhaustiveChecker()
+	for _, workers := range []int{1, 2} {
+		cfg.Workers = workers
+		cfg.DisablePartition = false
+		r, err := RunEvidence(caller, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Partition == nil || r.Partition.Fallback != "" {
+			t.Fatalf("workers=%d: partitioned run fell back: %s", workers, r.Partition.String())
+		}
+		if r.Diag.AuditViolations != 0 {
+			t.Errorf("workers=%d: %d audit violations: %s", workers, r.Diag.AuditViolations, r.Audit)
+		}
+		cfg.DisablePartition = true
+		mono, err := RunEvidence(caller, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(mono.Inferences) == 0 {
+			t.Fatal("caller evidence produced no inferences: the comparison is vacuous")
+		}
+		assertSameResult(t, fmt.Sprintf("workers=%d", workers), mono, r)
 	}
 }

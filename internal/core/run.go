@@ -32,9 +32,10 @@ func RunEvidence(ev *Evidence, cfg Config) (*Result, error) {
 	// engines answer in a few flat array reads. Idempotent — sweeps
 	// that reuse one Config across runs compile once.
 	cfg.freeze()
-	r, pinfo := runPartitioned(&cfg, ev)
+	in := inputOf(ev)
+	r, pinfo := runPartitioned(&cfg, ev, in)
 	if r == nil {
-		st := newRunState(&cfg, ev)
+		st := newRunState(&cfg, in)
 		st.fixpoint()
 		st.auditFinish()
 		r = st.result()

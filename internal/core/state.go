@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"mapit/internal/inet"
+	"mapit/internal/trace"
 )
 
 // directInf is a direct inference record on one half (§4.4.1).
@@ -25,22 +26,21 @@ type directInf struct {
 type runState struct {
 	cfg *Config
 
-	// ip2as is the run's memoised view of cfg.IP2AS: every resolution
-	// site in the run goes through it, so each distinct address hits
-	// the LPM engine at most once per run (see memoIP2AS).
-	ip2as *memoIP2AS
-
 	// Immutable after build.
-	observed  inet.AddrSet            // every address seen in any trace
-	otherSide map[inet.Addr]inet.Addr // §4.2 pairing
-	baseAS    map[inet.Addr]inet.ASN  // original IP2AS (0 = unannounced)
-	ixpAddr   map[inet.Addr]bool
-	halves    []Half      // |N| ≥ 2 halves in deterministic order
-	addrs     []inet.Addr // interface universe, sorted; index = addrIdx
+	observed []inet.Addr // every address seen in any trace, ascending
+	addrs    []inet.Addr // interface universe, sorted; index = addrIdx
 	// nbrF / nbrB are N_F and N_B by addrIdx, each list sorted and
 	// unique: capacity-clipped windows into one flat array per side
 	// (see neighborLists).
 	nbrF, nbrB [][]inet.Addr
+	// otherA and paired are the §4.2 columns by addrIdx: otherA[i] is
+	// the putative other side of addrs[i], valid when paired[i] — only
+	// observed addresses are paired (see pairOtherSides).
+	otherA []inet.Addr
+	paired []bool
+	// base holds the resolved base mappings of every address a run can
+	// read one for (see baseColumns).
+	base baseColumns
 
 	// Inference state. overrides is the committed per-half IP2AS view;
 	// mutations during a pass are buffered and applied at pass end so
@@ -163,46 +163,45 @@ func (st *runState) newDirectInf(d directInf) *directInf {
 	return &st.infBlock[len(st.infBlock)-1]
 }
 
-func newRunState(cfg *Config, ev *Evidence) *runState {
+// runInput is what one run state is built from: the observed addresses
+// as an ascending, duplicate-free slice and the unique adjacencies.
+// RunEvidence sorts the observed set once (inputOf); the partitioner
+// carves every component's input out of that one slice.
+type runInput struct {
+	addrs []inet.Addr
+	adjs  []trace.Adjacency
+}
+
+// inputOf sorts ev's observed set into a runInput.
+func inputOf(ev *Evidence) runInput {
+	addrs := make([]inet.Addr, 0, len(ev.AllAddrs))
+	for a := range ev.AllAddrs {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	return runInput{addrs: addrs, adjs: ev.Adjacencies}
+}
+
+// baseColumns are a run's resolved base mappings over its base-mapping
+// universe: every interface address plus every paired other side,
+// ascending. asn[i] is the IP2AS origin of addrs[i] (zero =
+// unannounced) and ixp[i] its IXP flag. Each address is resolved once
+// per run, and reads go by index or by binary search.
+type baseColumns struct {
+	addrs []inet.Addr
+	asn   []inet.ASN
+	ixp   []bool
+}
+
+func newRunState(cfg *Config, in runInput) *runState {
 	// The inference maps are sized and made by buildIndex, once the
 	// eligible-half count is known.
 	st := &runState{
-		cfg:     cfg,
-		severed: make(map[inet.Addr]bool),
+		cfg:      cfg,
+		observed: in.addrs,
+		severed:  make(map[inet.Addr]bool),
 	}
 	workers := cfg.workers()
-	st.observed = ev.AllAddrs
-	st.otherSide = make(map[inet.Addr]inet.Addr, len(ev.AllAddrs))
-
-	// §4.2 other sides. The per-address heuristic is pure, so it shards
-	// over a snapshot of the address set into index-aligned slices (each
-	// worker writes a disjoint range — no locking) and the map fill stays
-	// serial. The map and the /31 count are order-independent, so the
-	// outcome is identical to the serial loop.
-	observed := make([]inet.Addr, 0, len(ev.AllAddrs))
-	for a := range ev.AllAddrs {
-		observed = append(observed, a)
-	}
-	others := make([]inet.Addr, len(observed))
-	is31 := make([]bool, len(observed))
-	parallelChunks(len(observed), workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			os := inet.InferOtherSide(observed[i], ev.AllAddrs)
-			others[i] = os.Other
-			is31[i] = os.Kind == inet.PtP31
-		}
-	})
-	n31 := 0
-	for i, a := range observed {
-		st.otherSide[a] = others[i]
-		if is31[i] {
-			n31++
-		}
-	}
-	st.n31 = n31
-	if len(ev.AllAddrs) > 0 {
-		st.diag.Slash31Fraction = float64(n31) / float64(len(ev.AllAddrs))
-	}
 
 	// Neighbour sets from the unique adjacencies (§4.3). Evidence
 	// adjacencies arrive sorted by (First, Second) and deduplicated, so
@@ -211,9 +210,9 @@ func newRunState(cfg *Config, ev *Evidence) *runState {
 	// key<<32 | member. The forward sort only confirms the order every
 	// collector already produces (pdqsort finishes sorted input in one
 	// linear pass).
-	fwd := make([]uint64, len(ev.Adjacencies))
-	back := make([]uint64, len(ev.Adjacencies))
-	for i, adj := range ev.Adjacencies {
+	fwd := make([]uint64, len(in.adjs))
+	back := make([]uint64, len(in.adjs))
+	for i, adj := range in.adjs {
 		fwd[i] = uint64(adj.First)<<32 | uint64(adj.Second)
 		back[i] = uint64(adj.Second)<<32 | uint64(adj.First)
 	}
@@ -222,7 +221,7 @@ func newRunState(cfg *Config, ev *Evidence) *runState {
 
 	// Interface universe: every address with a neighbour on either side
 	// — the sorted union of the two sides' keys.
-	st.addrs = appendPairKeys(make([]inet.Addr, 0, 2*len(ev.Adjacencies)), fwd)
+	st.addrs = appendPairKeys(make([]inet.Addr, 0, 2*len(in.adjs)), fwd)
 	st.addrs = appendPairKeys(st.addrs, back)
 	slices.Sort(st.addrs)
 	st.addrs = slices.Clip(slices.Compact(st.addrs))
@@ -230,63 +229,48 @@ func newRunState(cfg *Config, ev *Evidence) *runState {
 	st.nbrF = neighborLists(fwd, st.addrs)
 	st.nbrB = neighborLists(back, st.addrs)
 
-	// Neighbour members also need base mappings: each interface address
-	// plus its putative other side. The LPM and IXP lookups are
-	// read-only (the sources are frozen by RunEvidence) and dominate
-	// this phase, so they shard over a deduplicated worklist into
-	// aligned slices; the map fill — and the memo commit — stays
-	// serial.
-	work := make([]inet.Addr, len(st.addrs), 2*len(st.addrs))
-	copy(work, st.addrs)
-	for _, a := range st.addrs {
-		if ov, ok := st.otherSide[a]; ok {
-			work = append(work, ov)
-		}
+	// §4.2 other sides, decided from the sorted observed slice.
+	st.otherA, st.paired, st.n31 = pairOtherSides(in.addrs, st.addrs)
+	if len(in.addrs) > 0 {
+		st.diag.Slash31Fraction = float64(st.n31) / float64(len(in.addrs))
 	}
-	slices.Sort(work)
-	work = slices.Compact(work)
-	st.ip2as = newMemoIP2AS(cfg.IP2AS)
-	asns := st.ip2as.primeParallel(work, workers)
-	isIXP := make([]bool, len(work))
-	parallelChunks(len(work), workers, func(_, lo, hi int) {
+
+	// Base mappings for every interface address plus its paired other
+	// side. The LPM and IXP lookups are read-only (the sources are
+	// frozen by RunEvidence) and dominate this phase, so they shard
+	// into the index-aligned columns.
+	b := &st.base
+	b.addrs = baseUniverse(st.addrs, st.otherA, st.paired)
+	b.asn = make([]inet.ASN, len(b.addrs))
+	b.ixp = make([]bool, len(b.addrs))
+	parallelChunks(len(b.addrs), workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			isIXP[i] = cfg.IXP.IsIXPAddr(work[i]) || cfg.IXP.IsIXPASN(asns[i])
+			a := b.addrs[i]
+			b.asn[i] = st.baseLookup(a)
+			b.ixp[i] = cfg.IXP.IsIXPAddr(a) || cfg.IXP.IsIXPASN(b.asn[i])
 		}
 	})
-	nIXP := 0
-	for _, ixp := range isIXP {
-		if ixp {
-			nIXP++
-		}
-	}
-	st.baseAS = make(map[inet.Addr]inet.ASN, len(work))
-	st.ixpAddr = make(map[inet.Addr]bool, nIXP)
-	for i, a := range work {
-		st.baseAS[a] = asns[i]
-		if isIXP[i] {
-			st.ixpAddr[a] = true
-		}
-	}
 
 	// Eligible halves and the both-Ns overlap statistic. Chunks scan
 	// disjoint ranges of the sorted address slice and are concatenated
-	// in chunk order, so the halves emerge exactly as the serial
-	// left-to-right scan produces them; the diagnostics are sums.
+	// in chunk order, so the half indexes emerge in halfCmp order,
+	// exactly as the serial left-to-right scan produces them; the
+	// diagnostics are sums.
 	type eligiblePartial struct {
-		halves                  []Half
+		halves                  []int32
 		fwd, back, bothOverlaps int
 	}
 	parts := make([]eligiblePartial, numChunks(len(st.addrs), workers))
 	parallelChunks(len(st.addrs), workers, func(w, lo, hi int) {
 		p := &parts[w]
 		for i := lo; i < hi; i++ {
-			a, f, b := st.addrs[i], st.nbrF[i], st.nbrB[i]
+			f, b := st.nbrF[i], st.nbrB[i]
 			if len(f) >= 2 {
-				p.halves = append(p.halves, Half{Addr: a, Dir: Forward})
+				p.halves = append(p.halves, halfSlot(int32(i), Forward))
 				p.fwd++
 			}
 			if len(b) >= 2 {
-				p.halves = append(p.halves, Half{Addr: a, Dir: Backward})
+				p.halves = append(p.halves, halfSlot(int32(i), Backward))
 				p.back++
 			}
 			if len(f) > 0 && len(b) > 0 && sortedIntersect(f, b) {
@@ -295,17 +279,91 @@ func newRunState(cfg *Config, ev *Evidence) *runState {
 		}
 	})
 	for _, p := range parts {
-		st.halves = append(st.halves, p.halves...)
+		st.idx.halvesIdx = append(st.idx.halvesIdx, p.halves...)
 		st.diag.EligibleForward += p.fwd
 		st.diag.EligibleBackward += p.back
 		st.diag.BothNsOverlap += p.bothOverlaps
 	}
-	slices.SortFunc(st.halves, halfCmp)
 	st.buildIndex()
 	if cfg.Audit.Enabled() {
 		st.auditor = newRunAuditor(cfg.Audit)
 	}
 	return st
+}
+
+// baseLookup resolves a's base mapping through the configured source;
+// zero means unannounced.
+func (st *runState) baseLookup(a inet.Addr) inet.ASN {
+	asn, _ := st.cfg.IP2AS.Lookup(a)
+	return asn
+}
+
+// pairOtherSides applies the §4.2 heuristic (inet.InferOtherSide) to
+// every address of addrs that appears in observed; both slices are
+// ascending. An address's verdict depends only on which members of its
+// aligned /30 block were observed, and block members are neighbours in
+// a sorted slice, so one walk over the observed blocks decides every
+// address without a set. Returns the other sides and paired flags
+// aligned with addrs (unobserved addresses stay unpaired) and the /31
+// count over all of observed.
+func pairOtherSides(observed, addrs []inet.Addr) (other []inet.Addr, paired []bool, n31 int) {
+	other = make([]inet.Addr, len(addrs))
+	paired = make([]bool, len(addrs))
+	j := 0
+	for lo := 0; lo < len(observed); {
+		block := observed[lo] >> 2
+		hi := lo + 1
+		for hi < len(observed) && observed[hi]>>2 == block {
+			hi++
+		}
+		// seen has bit k set when the block member with low bits k was
+		// observed; bits 0 and 3 are the /30 network and broadcast.
+		var seen uint8
+		for _, a := range observed[lo:hi] {
+			seen |= 1 << (a & 3)
+		}
+		for _, a := range observed[lo:hi] {
+			o := inet.Slash30Other(a)
+			if !inet.IsSlash30Host(a) || seen&0b1001 != 0 {
+				o = inet.Slash31Other(a)
+				n31++
+			}
+			for j < len(addrs) && addrs[j] < a {
+				j++
+			}
+			if j < len(addrs) && addrs[j] == a {
+				other[j], paired[j] = o, true
+			}
+		}
+		lo = hi
+	}
+	return other, paired, n31
+}
+
+// baseUniverse returns the sorted union of addrs (ascending) and the
+// paired other sides. An other side lies in its address's aligned /30
+// block, so the union is assembled one block at a time from a
+// four-bit membership mask, without a global sort.
+func baseUniverse(addrs, other []inet.Addr, paired []bool) []inet.Addr {
+	out := make([]inet.Addr, 0, len(addrs)+len(addrs)/4)
+	for lo := 0; lo < len(addrs); {
+		block := addrs[lo] >> 2
+		var members uint8
+		hi := lo
+		for ; hi < len(addrs) && addrs[hi]>>2 == block; hi++ {
+			members |= 1 << (addrs[hi] & 3)
+			if paired[hi] {
+				members |= 1 << (other[hi] & 3)
+			}
+		}
+		for k := inet.Addr(0); k < 4; k++ {
+			if members&(1<<k) != 0 {
+				out = append(out, block<<2|k)
+			}
+		}
+		lo = hi
+	}
+	return out
 }
 
 // appendPairKeys appends the distinct keys of pairs packed as
@@ -379,14 +437,42 @@ func (st *runState) mapping(h Half) inet.ASN {
 	if asn, ok := st.overrides[h]; ok {
 		return asn
 	}
-	return st.baseAS[h.Addr]
+	return st.baseAS(h.Addr)
+}
+
+// baseAS returns a's base BGP mapping from the resolved columns; zero
+// when unannounced or outside the base-mapping universe.
+func (st *runState) baseAS(a inet.Addr) inet.ASN {
+	if i, ok := slices.BinarySearch(st.base.addrs, a); ok {
+		return st.base.asn[i]
+	}
+	return 0
+}
+
+// isObserved reports whether a appeared in any trace of the run.
+func (st *runState) isObserved(a inet.Addr) bool {
+	_, ok := slices.BinarySearch(st.observed, a)
+	return ok
+}
+
+// otherAt returns the §4.2 other side of addrs[ai]; ok is false for an
+// address that was never observed (an adjacency endpoint outside the
+// observed set), which has no pairing.
+func (st *runState) otherAt(ai int32) (other inet.Addr, ok bool) {
+	return st.otherA[ai], st.paired[ai]
 }
 
 // otherHalf returns the opposite-direction half of the other side of h:
 // the half that shares h's link and looks the same way along it (§3.2).
+// Only halves inside the interface universe carry inference records,
+// so only they have an other half.
 func (st *runState) otherHalf(h Half) (Half, bool) {
-	o, ok := st.otherSide[h.Addr]
-	if !ok || st.severed[h.Addr] {
+	hi := st.halfIdx(h)
+	if hi < 0 {
+		return Half{}, false
+	}
+	o, ok := st.otherAt(hi >> 1)
+	if !ok || st.severedIdx[hi>>1] {
 		return Half{}, false
 	}
 	return Half{Addr: o, Dir: h.Dir.Opposite()}, true
@@ -684,12 +770,14 @@ func (st *runState) result() *Result {
 	slices.SortFunc(halves, halfCmp)
 	for _, h := range halves {
 		d := st.direct[h]
+		ai := st.halfIdx(h) >> 1
+		other, _ := st.otherAt(ai)
 		inf := Inference{
 			Addr:      h.Addr,
 			Dir:       h.Dir,
 			Local:     d.local,
 			Connected: d.connected,
-			OtherSide: st.otherSide[h.Addr],
+			OtherSide: other,
 			Uncertain: d.uncertain,
 			Stub:      d.stub,
 		}
@@ -700,8 +788,8 @@ func (st *runState) result() *Result {
 		// Putative other sides that never appeared in any trace are
 		// internal bookkeeping only: with the /30-vs-/31 heuristic
 		// unconfirmed there is no observed interface to report.
-		if oh, ok := st.otherHalf(h); ok && st.observed.Contains(oh.Addr) {
-			if _, hasDirect := st.direct[oh]; !hasDirect && !indirectSeen[oh] && !st.ixpAddr[h.Addr] {
+		if oh, ok := st.otherHalf(h); ok && st.isObserved(oh.Addr) {
+			if _, hasDirect := st.direct[oh]; !hasDirect && !indirectSeen[oh] && !st.idx.ixpA[ai] {
 				indirectSeen[oh] = true
 				out = append(out, Inference{
 					Addr:      oh.Addr,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -15,7 +17,7 @@ import (
 func TestNeighborListsCapacityClipped(t *testing.T) {
 	ev, cfg := islandEvidence(t, 11, 2)
 	cfg.freeze()
-	st := newRunState(&cfg, ev)
+	st := newRunState(&cfg, inputOf(ev))
 	if len(st.addrs) < 2 {
 		t.Fatalf("universe of %d addresses; want a real topology", len(st.addrs))
 	}
@@ -62,5 +64,120 @@ func TestNeighborListsCapacityClipped(t *testing.T) {
 	}
 	if got := st.neighbors(Half{Addr: ^inet.Addr(0), Dir: Forward}); got != nil {
 		t.Errorf("neighbors outside the universe = %v; want nil", got)
+	}
+}
+
+// checkPairOtherSides runs the sorted-slice §4.2 pairing over observed
+// and compares it with inet.InferOtherSide over an AddrSet. The address
+// universe handed to pairOtherSides is every member of every touched
+// /30 block except every third observed address, so it holds
+// unobserved addresses, which must stay unpaired, and misses observed
+// ones, as an interface universe misses addresses with no adjacency.
+// It also checks baseUniverse against a sorted union of the addresses
+// and their paired other sides.
+func checkPairOtherSides(t *testing.T, label string, observed []inet.Addr) {
+	t.Helper()
+	set := inet.NewAddrSet(observed)
+	sorted := make([]inet.Addr, 0, len(set))
+	for a := range set {
+		sorted = append(sorted, a)
+	}
+	slices.Sort(sorted)
+	var addrs []inet.Addr
+	for i, a := range sorted {
+		if i > 0 && a>>2 == sorted[i-1]>>2 {
+			continue // block already added
+		}
+		for k := inet.Addr(0); k < 4; k++ {
+			addrs = append(addrs, a&^3|k)
+		}
+	}
+	for i := 2; i < len(sorted); i += 3 {
+		j, _ := slices.BinarySearch(addrs, sorted[i])
+		addrs = slices.Delete(addrs, j, j+1)
+	}
+
+	other, paired, n31 := pairOtherSides(sorted, addrs)
+	union := slices.Clone(addrs)
+	for i := range addrs {
+		if paired[i] {
+			union = append(union, other[i])
+		}
+	}
+	slices.Sort(union)
+	if got := baseUniverse(addrs, other, paired); !slices.Equal(got, slices.Compact(union)) {
+		t.Errorf("%s: base universe %v, want the sorted union %v", label, got, union)
+	}
+	want31 := 0
+	for a := range set {
+		if inet.InferOtherSide(a, set).Kind == inet.PtP31 {
+			want31++
+		}
+	}
+	if n31 != want31 {
+		t.Errorf("%s: /31 count %d, InferOtherSide says %d", label, n31, want31)
+	}
+	for i, a := range addrs {
+		if !set.Contains(a) {
+			if paired[i] {
+				t.Errorf("%s: unobserved %v paired with %v", label, a, other[i])
+			}
+			continue
+		}
+		if want := inet.InferOtherSide(a, set).Other; !paired[i] || other[i] != want {
+			t.Errorf("%s: other side of %v = %v (paired %v), InferOtherSide says %v",
+				label, a, other[i], paired[i], want)
+		}
+	}
+}
+
+// TestPairOtherSidesMatchesInferOtherSide is the differential test of
+// the sorted-slice §4.2 other side against inet.InferOtherSide.
+func TestPairOtherSidesMatchesInferOtherSide(t *testing.T) {
+	block := func(base inet.Addr, mask int) []inet.Addr {
+		var out []inet.Addr
+		for k := 0; k < 4; k++ {
+			if mask&(1<<k) != 0 {
+				out = append(out, base|inet.Addr(k))
+			}
+		}
+		return out
+	}
+	first, last := inet.Addr(0), ^inet.Addr(0)&^3 // 0.0.0.0/30, 255.255.255.252/30
+	mid := inet.MustParseAddr("10.0.0.0")
+	// Every presence pattern of one block — each low-2-bit position,
+	// network and broadcast each present and absent — alone, at the
+	// extremes of the address space, and as the first and last block of
+	// a longer slice.
+	for mask := 1; mask < 16; mask++ {
+		for _, base := range []inet.Addr{first, mid, last} {
+			checkPairOtherSides(t, fmt.Sprintf("%v/mask=%04b", base, mask), block(base, mask))
+		}
+		inner := append(block(mid, 0b0110), block(mid+4, 0b1111)...)
+		edges := append(append(block(first, mask), inner...), block(last, mask)...)
+		checkPairOtherSides(t, fmt.Sprintf("edges/mask=%04b", mask), edges)
+	}
+	// Random sets dense in /30 blocks: runs of consecutive blocks, each
+	// with a random non-empty presence pattern.
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 300; round++ {
+		var observed []inet.Addr
+		for b := 0; b < 1+rng.Intn(6); b++ {
+			start := inet.Addr(rng.Uint32()) &^ 3
+			switch rng.Intn(8) {
+			case 0:
+				start = first
+			case 1:
+				start = last - 4*inet.Addr(rng.Intn(3))
+			}
+			for k := inet.Addr(0); k < inet.Addr(1+rng.Intn(8)); k++ {
+				base := start + 4*k
+				if base < start { // wrapped past 255.255.255.255
+					break
+				}
+				observed = append(observed, block(base, 1+rng.Intn(15))...)
+			}
+		}
+		checkPairOtherSides(t, fmt.Sprintf("random/%d", round), observed)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"slices"
 
 	"mapit/internal/inet"
 )
@@ -27,45 +26,51 @@ type ProbeSuggestion struct {
 }
 
 // suggestProbes scans for single-neighbour halves whose lone neighbour
-// crosses an organisation boundary and that carry no inference.
+// crosses an organisation boundary and that carry no inference. It
+// reads only the flat mirrors: neighbour lists and IXP flags by
+// addrIdx, committed mappings and inference presence by halfIdx, and
+// organisations by asnID. The scan walks halves in halfCmp order, so
+// the output needs no sort.
 func (st *runState) suggestProbes() []ProbeSuggestion {
+	ix := &st.idx
 	var out []ProbeSuggestion
-	for _, a := range st.addrs {
-		if st.ixpAddr[a] {
+	for ai := range st.addrs {
+		if ix.ixpA[ai] {
 			continue
 		}
 		for _, dir := range [2]Direction{Forward, Backward} {
-			h := Half{Addr: a, Dir: dir}
-			nbrs := st.neighbors(h)
+			nbrs := st.nbrF[ai]
+			if dir == Backward {
+				nbrs = st.nbrB[ai]
+			}
 			if len(nbrs) != 1 {
 				continue
 			}
-			if st.hasInference(h) || st.hasInference(h.Opposite()) {
+			hi := halfSlot(int32(ai), dir)
+			if st.hasInferenceIdx(hi) || st.hasInferenceIdx(hi^1) {
 				continue
 			}
-			n := nbrs[0]
-			if st.ixpAddr[n] {
+			ni := st.addrIdx(nbrs[0])
+			if ix.ixpA[ni] {
 				continue
 			}
-			nh := Half{Addr: n, Dir: dir.Opposite()}
-			localAS := st.mapping(h)
-			nbrAS := st.mapping(nh)
-			if localAS.IsZero() || nbrAS.IsZero() {
+			nhi := halfSlot(ni, dir.Opposite())
+			localID, nbrID := ix.mapID[hi], ix.mapID[nhi]
+			if localID < 0 || nbrID < 0 {
 				continue
 			}
-			if st.cfg.Orgs.SameOrg(localAS, nbrAS) {
+			if ix.orgOfASN[localID] == ix.orgOfASN[nbrID] {
 				continue
 			}
-			if st.hasInference(nh) {
+			if st.hasInferenceIdx(nhi) {
 				continue // the boundary is already pinned from the far side
 			}
 			out = append(out, ProbeSuggestion{
-				Addr: a, Dir: dir, Neighbor: n,
-				LocalAS: localAS, NeighborAS: nbrAS,
+				Addr: st.addrs[ai], Dir: dir, Neighbor: nbrs[0],
+				LocalAS: ix.asnOf[localID], NeighborAS: ix.asnOf[nbrID],
 			})
 		}
 	}
-	slices.SortFunc(out, probeCmp)
 	return out
 }
 
