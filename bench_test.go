@@ -365,7 +365,7 @@ func BenchmarkSanitizeTrace(b *testing.B) {
 // sweep passes N, with identical outputs at every point.
 var ingestWorkerSweep = []int{1, 2, 4, 8}
 
-// BenchmarkCollectorParallel measures the sharded streaming collector
+// BenchmarkCollectorParallel measures the parallel streaming collector
 // (sanitise → dedup → sorted evidence) across worker counts, with the
 // serial Collector as the reference point.
 func BenchmarkCollectorParallel(b *testing.B) {

@@ -25,10 +25,8 @@ func equalEvidence(label string, a, b *core.Evidence) error {
 		return fmt.Errorf("%s: address universes diverge (%d vs %d)",
 			label, len(a.AllAddrs), len(b.AllAddrs))
 	}
-	for addr := range a.AllAddrs {
-		if !b.AllAddrs.Contains(addr) {
-			return fmt.Errorf("%s: address %v missing from second evidence", label, addr)
-		}
+	if !slices.Equal(a.AllAddrs, b.AllAddrs) {
+		return fmt.Errorf("%s: address universes diverge in content or order", label)
 	}
 	if !slices.Equal(a.Adjacencies, b.Adjacencies) {
 		return fmt.Errorf("%s: adjacencies diverge (%d vs %d)",
@@ -38,7 +36,7 @@ func equalEvidence(label string, a, b *core.Evidence) error {
 }
 
 // DiffIngest runs the three ingest paths — streaming serial collector,
-// sharded parallel collector, and batch sanitise-then-distil — over the
+// parallel collector, and batch sanitise-then-distil — over the
 // same raw traces and requires identical evidence and identical
 // downstream Results.
 func DiffIngest(pl *Pipeline) error {

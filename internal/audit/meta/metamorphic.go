@@ -97,8 +97,8 @@ func CheckSubsetEvidenceMonotone(pl *Pipeline, stride int) error {
 	for offset := 0; offset < stride; offset++ {
 		sub := trace.Subsample(pl.Env.Dataset, stride, offset)
 		ev := core.EvidenceFrom(sub.Sanitize())
-		for a := range ev.AllAddrs {
-			if !full.AllAddrs.Contains(a) {
+		for _, a := range ev.AllAddrs {
+			if _, ok := slices.BinarySearch(full.AllAddrs, a); !ok {
 				return fmt.Errorf("subset 1/%d+%d: address %v not in full evidence", stride, offset, a)
 			}
 		}

@@ -428,8 +428,13 @@ func (st *runState) auditElections(stage string, iter int) {
 //     the global fingerprint the monolithic stopping rule would have
 //     seen at the stop iteration — for replayed components this doubles
 //     as the replay-determinism check.
-func auditPartitionInvariants(pa *runAuditor, ev *Evidence, runs []*compRun) {
+func auditPartitionInvariants(pa *runAuditor, in runInput, runs []*compRun) {
 	pa.report.Steps++
+	// The observed universe as a set, built only under audit.
+	universe := make(inet.AddrSet, len(in.addrs))
+	for _, a := range in.addrs {
+		universe.Add(a)
+	}
 
 	covered := 0
 	adjTotal := 0
@@ -438,7 +443,7 @@ func auditPartitionInvariants(pa *runAuditor, ev *Evidence, runs []*compRun) {
 		adjTotal += len(c.in.adjs)
 		for _, a := range c.in.addrs {
 			pa.check()
-			if !ev.AllAddrs.Contains(a) {
+			if !universe.Contains(a) {
 				pa.violate("partition-cover", auditStageFinal, 0,
 					"component %d contains %v, which is not in the observed universe", ci, a)
 				continue
@@ -453,14 +458,14 @@ func auditPartitionInvariants(pa *runAuditor, ev *Evidence, runs []*compRun) {
 		}
 	}
 	pa.check()
-	if covered != len(ev.AllAddrs) {
+	if covered != len(universe) {
 		pa.violate("partition-cover", auditStageFinal, 0,
-			"components cover %d of %d observed addresses", covered, len(ev.AllAddrs))
+			"components cover %d of %d observed addresses", covered, len(universe))
 	}
 	pa.check()
-	if adjTotal != len(ev.Adjacencies) {
+	if adjTotal != len(in.adjs) {
 		pa.violate("partition-cover", auditStageFinal, 0,
-			"components hold %d of %d adjacencies", adjTotal, len(ev.Adjacencies))
+			"components hold %d of %d adjacencies", adjTotal, len(in.adjs))
 	}
 
 	stride, off := pa.stride()
@@ -472,7 +477,7 @@ func auditPartitionInvariants(pa *runAuditor, ev *Evidence, runs []*compRun) {
 				continue // universe node outside the observed set: no §4.2 pairing
 			}
 			pa.check()
-			if global := inet.InferOtherSide(a, ev.AllAddrs); global.Other != local {
+			if global := inet.InferOtherSide(a, universe); global.Other != local {
 				pa.violate("partition-closure", auditStageFinal, 0,
 					"component %d other side of %v is %v locally, %v globally",
 					ci, a, local, global.Other)

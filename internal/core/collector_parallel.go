@@ -2,107 +2,67 @@ package core
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 
-	"mapit/internal/inet"
 	"mapit/internal/trace"
 )
 
-// Batch sizes for the parallel ingest pipeline: traces travel to the
-// sanitise workers in batches (amortising channel overhead across the
-// per-trace work) and adjacencies travel to the shard owners in batches
-// (amortising it across the per-adjacency work).
-const (
-	traceBatchSize = 256
-	adjBatchSize   = 512
-)
+// traceBatchSize is how many traces travel to a sanitise worker at
+// once, amortising channel overhead across the per-trace work.
+const traceBatchSize = 256
 
-// ParallelCollector is a sharded, concurrent Collector: traces fan out
-// to sanitise workers, each worker routes the surviving adjacencies by
-// hash to per-shard deduplication sets, and Evidence() sorts the shards
-// in parallel and k-way merges them. Because the shards partition the
-// adjacency space and each is sorted before the merge, the merged slice
-// — and every Stats field — is byte-identical to what the serial
-// Collector produces for the same traces, in any worker configuration.
+// ParallelCollector is a concurrent Collector: traces fan out in
+// batches to sanitise workers, each of which owns an evidence store —
+// a flat address table and a flat adjacency set. When the pipeline
+// drains, every worker merges its store into the collector's
+// persistent one (smaller tables into larger), and Finish extracts and
+// sorts the packed keys. The union of the workers' stores does not
+// depend on which worker saw which trace, so the evidence — and every
+// Stats field — is byte-identical to what the serial Collector
+// produces for the same traces, in any worker configuration.
 //
-// With a SpillConfig (NewParallelCollectorSpill), shard owners spill
-// their adjacency sets and workers spill their address-flag sets to columnar
-// disk segments under the shared budget, and finalisation becomes a
-// bounded-memory external merge — still byte-identical, for any spill
-// threshold, worker count, or segment size (DESIGN.md §11).
+// With a SpillConfig (NewParallelCollectorSpill), each worker flushes
+// both of its tables as sorted runs to its own columnar disk segment
+// once it crosses its share of the budget (MemBudget/workers), and
+// again when it retires; finalisation becomes a bounded-memory external
+// merge — still byte-identical, for any spill threshold, worker count,
+// or segment size (DESIGN.md §11).
 //
 // Add and Evidence must be called from a single goroutine; the
 // concurrency is internal. Like Collector, the collector remains usable
 // after Evidence (the pipeline restarts lazily on the next Add).
 type ParallelCollector struct {
+	collectorSpill
 	workers int
 	added   int
 
-	// Persistent state, merged under mu when workers retire.
-	mu     sync.Mutex
-	shards []map[trace.Adjacency]struct{}
-	addrs  addrFlags
-	stats  trace.Stats
-	// monitors is the opt-in per-vantage-point attribution (see
-	// TrackMonitors): workers accumulate locally and merge here at
-	// retirement. Nil when tracking is off. Never spills.
-	monitors map[string]*monitorAcc
-
-	// Out-of-core state; spill is nil for an in-memory collector.
-	// shardSpillers persist across pipeline restarts so each shard keeps
-	// appending runs to its own segment file. shardLimit / workerLimit
-	// are the per-party shares of the byte budget.
-	spill         *spillSink
-	shardSpillers []*spiller
-	shardLimit    int64
-	workerLimit   int64
-
-	// sortScratch holds the per-shard sorted runs between Evidence
-	// calls; the merged output never aliases it.
-	sortScratch [][]trace.Adjacency
+	// store is the persistent evidence; workers merge into it under mu
+	// when they retire.
+	mu    sync.Mutex
+	store evidenceStore
 
 	// Live pipeline; nil between Evidence() and the next Add.
 	tracesCh chan []trace.Trace
-	shardCh  []chan []trace.Adjacency
-	sanWG    sync.WaitGroup
-	shardWG  sync.WaitGroup
+	wg       sync.WaitGroup
 	batch    []trace.Trace
 }
 
-// NewParallelCollector returns an empty sharded collector with the given
+// NewParallelCollector returns an empty collector with the given
 // concurrency; workers < 1 means runtime.GOMAXPROCS(0).
 func NewParallelCollector(workers int) *ParallelCollector {
 	return NewParallelCollectorSpill(workers, SpillConfig{})
 }
 
-// NewParallelCollectorSpill returns a sharded collector that keeps its
-// resident dedup state under cfg's budget by spilling columnar runs to
-// disk. A disabled cfg (zero value) yields the plain in-memory
-// collector.
+// NewParallelCollectorSpill returns a collector that keeps its resident
+// dedup state under cfg's budget by spilling columnar runs to disk. A
+// disabled cfg (zero value) yields the plain in-memory collector.
 func NewParallelCollectorSpill(workers int, cfg SpillConfig) *ParallelCollector {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	c := &ParallelCollector{
-		workers:     workers,
-		shards:      make([]map[trace.Adjacency]struct{}, workers),
-		addrs:       make(addrFlags),
-		sortScratch: make([][]trace.Adjacency, workers),
-	}
-	for i := range c.shards {
-		c.shards[i] = make(map[trace.Adjacency]struct{})
-	}
+	c := &ParallelCollector{workers: workers, store: newEvidenceStore()}
 	if cfg.enabled() {
-		c.spill = newSpillSink(cfg)
-		c.shardSpillers = make([]*spiller, len(c.shards))
-		for i := range c.shardSpillers {
-			c.shardSpillers[i] = newSpiller(c.spill)
-		}
-		// Split the byte budget half to the adjacency shards, half to
-		// the workers' address-flag sets, evenly within each side.
-		c.shardLimit = cfg.MemBudget / 2 / int64(len(c.shards))
-		c.workerLimit = cfg.MemBudget / 2 / int64(workers)
+		c.sink = newSpillSink(cfg)
 	}
 	return c
 }
@@ -114,8 +74,8 @@ func (c *ParallelCollector) TrackMonitors() {
 	if c.tracesCh != nil {
 		panic("core: TrackMonitors called on a running ParallelCollector")
 	}
-	if c.monitors == nil {
-		c.monitors = make(map[string]*monitorAcc)
+	if c.store.monitors == nil {
+		c.store.monitors = make(map[string]*monitorAcc)
 	}
 }
 
@@ -141,20 +101,14 @@ func (c *ParallelCollector) start() {
 		return
 	}
 	c.tracesCh = make(chan []trace.Trace, 2*c.workers)
-	c.shardCh = make([]chan []trace.Adjacency, len(c.shards))
-	for i := range c.shardCh {
-		c.shardCh[i] = make(chan []trace.Adjacency, 2*c.workers)
-		c.shardWG.Add(1)
-		go c.shardOwner(i)
-	}
 	for w := 0; w < c.workers; w++ {
-		c.sanWG.Add(1)
+		c.wg.Add(1)
 		go c.sanitizeWorker()
 	}
 }
 
-// drain flushes the pending batch and retires the pipeline, leaving the
-// accumulated shard sets and statistics ready to merge.
+// drain flushes the pending batch and retires the pipeline, leaving
+// everything collected in the persistent store.
 func (c *ParallelCollector) drain() {
 	if c.tracesCh == nil {
 		return
@@ -164,243 +118,48 @@ func (c *ParallelCollector) drain() {
 		c.batch = nil
 	}
 	close(c.tracesCh)
-	c.sanWG.Wait()
-	for _, ch := range c.shardCh {
-		close(ch)
-	}
-	c.shardWG.Wait()
+	c.wg.Wait()
 	c.tracesCh = nil
-	c.shardCh = nil
 }
 
-// sanitizeWorker consumes trace batches, sanitises each trace, and
-// routes its adjacencies to the owning shard. The address-flag set and
-// statistics accumulate worker-locally; at retirement they merge into
-// the globals, or — in out-of-core mode — flush to the worker's own
-// spill segment so the resident set stays bounded.
+// sanitizeWorker consumes trace batches into a worker-local store. At
+// retirement the store merges into the persistent one — in out-of-core
+// mode after flushing to the worker's spill segment, so the persistent
+// store stays empty. A failed flush (sticky sink error) falls through
+// to the merge: finalisation reports the error, and the data is not
+// silently lost meanwhile.
 func (c *ParallelCollector) sanitizeWorker() {
-	defer c.sanWG.Done()
-	addrs := make(addrFlags)
-	var stats trace.Stats
-	var monitors map[string]*monitorAcc
-	if c.monitors != nil {
-		monitors = make(map[string]*monitorAcc)
+	defer c.wg.Done()
+	w := newEvidenceStore()
+	if c.store.monitors != nil {
+		w.monitors = make(map[string]*monitorAcc)
 	}
-	bufs := make([][]trace.Adjacency, len(c.shardCh))
-	var scratch []trace.Adjacency
-	var sp *spiller
-	if c.spill != nil {
-		sp = newSpiller(c.spill)
+	if c.sink != nil {
+		w.sp = newSpiller(c.sink)
+		w.budget = c.sink.cfg.MemBudget / int64(c.workers)
 	}
 	for batch := range c.tracesCh {
 		for _, t := range batch {
-			var kept bool
-			scratch, kept = collectTrace(t, addrs, &stats, scratch)
-			if !kept {
-				continue
-			}
-			if monitors != nil {
-				recordMonitor(monitors, t.Monitor, scratch)
-			}
-			for _, adj := range scratch {
-				s := adjShard(adj, len(bufs))
-				bufs[s] = append(bufs[s], adj)
-				if len(bufs[s]) >= adjBatchSize {
-					c.shardCh[s] <- bufs[s]
-					bufs[s] = make([]trace.Adjacency, 0, adjBatchSize)
-				}
-			}
-		}
-		if sp != nil && c.addrsOverLimit(addrs) && sp.flushAddrFlags(addrs) {
-			addrs = make(addrFlags)
+			w.add(t)
 		}
 	}
-	for s, buf := range bufs {
-		if len(buf) > 0 {
-			c.shardCh[s] <- buf
-		}
-	}
-	// Retirement flush: in out-of-core mode the globals must not
-	// accumulate per-worker sets. A failed flush (sticky sink error)
-	// falls through to the global merge — finalisation will report the
-	// error, and the data is not silently lost meanwhile.
-	if sp != nil && sp.flushAddrFlags(addrs) {
-		addrs = nil
+	if w.sp != nil {
+		w.spillAll()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Merge the smaller set into the larger: the first worker to retire
-	// hands its set over whole.
-	if len(addrs) > len(c.addrs) {
-		c.addrs, addrs = addrs, c.addrs
-	}
-	c.addrs.merge(addrs)
-	for name, acc := range monitors {
-		dst := c.monitors[name]
-		if dst == nil {
-			c.monitors[name] = acc
-			continue
-		}
-		dst.traces += acc.traces
-		for adj := range acc.adjs {
-			dst.adjs[adj] = struct{}{}
-		}
-	}
-	c.stats.TotalTraces += stats.TotalTraces
-	c.stats.DiscardedTraces += stats.DiscardedTraces
-	c.stats.RemovedHops += stats.RemovedHops
-}
-
-// addrsOverLimit applies the worker-share budget (or the RunEntries
-// testing knob) to a worker's address-flag set.
-func (c *ParallelCollector) addrsOverLimit(addrs addrFlags) bool {
-	if n := c.spill.cfg.RunEntries; n > 0 {
-		return len(addrs) >= n
-	}
-	return int64(len(addrs))*addrEntryCost > c.workerLimit
-}
-
-// shardOwner deduplicates the adjacency batches routed to shard i. Each
-// shard is owned by exactly one goroutine, so no locking is needed; in
-// out-of-core mode the owner flushes its set as a sorted run whenever
-// it crosses the shard's budget share.
-func (c *ParallelCollector) shardOwner(i int) {
-	defer c.shardWG.Done()
-	set := c.shards[i]
-	var sp *spiller
-	var limit int
-	if c.spill != nil {
-		sp = c.shardSpillers[i]
-		if n := c.spill.cfg.RunEntries; n > 0 {
-			limit = n
-		} else {
-			limit = int(c.shardLimit / adjEntryCost)
-		}
-		limit = max(limit, 1)
-	}
-	for batch := range c.shardCh[i] {
-		for _, adj := range batch {
-			set[adj] = struct{}{}
-		}
-		if sp != nil && len(set) >= limit && sp.flushAdjSet(set) {
-			set = make(map[trace.Adjacency]struct{})
-			c.shards[i] = set
-		}
-	}
+	w.mergeInto(&c.store)
 }
 
 // Evidence drains the pipeline and finalises the collected evidence.
 // On a spilling collector prefer Finish — Evidence panics if the
 // external merge fails (the in-memory path cannot fail).
-func (c *ParallelCollector) Evidence() *Evidence {
-	ev, err := c.Finish()
-	if err != nil {
-		panic("core: spill merge failed: " + err.Error())
-	}
-	return ev
-}
+func (c *ParallelCollector) Evidence() *Evidence { return mustEvidence(c.Finish()) }
 
-// Finish drains the pipeline and finalises the collected evidence:
-// per-shard parallel sorts followed by a k-way loser-tree merge of the
-// sorted shard runs — plus, in out-of-core mode, every spilled run —
-// yielding the globally sorted unique adjacency slice. The collector
-// remains usable afterwards.
+// Finish drains the pipeline and finalises the collected evidence —
+// in out-of-core mode through a k-way merge of every spilled run with
+// the in-memory residue. The collector remains usable afterwards.
 func (c *ParallelCollector) Finish() (*Evidence, error) {
 	c.drain()
-	sorted := c.sortShards()
-	if c.spill == nil || !c.spill.spilled() {
-		if c.spill != nil {
-			if err := c.spill.failed(); err != nil {
-				return nil, err
-			}
-		}
-		return c.evidenceInMemory(sorted), nil
-	}
-	allRes, retRes := c.addrs.sortedRuns(nil, nil)
-	ev, err := c.spill.mergeEvidence(sorted,
-		[][]inet.Addr{allRes}, [][]inet.Addr{retRes}, c.stats)
-	if err != nil {
-		return nil, err
-	}
-	ev.Monitors = monitorEvidence(c.monitors)
-	return ev, nil
-}
-
-// SpillStats snapshots the out-of-core counters; zero for an in-memory
-// collector.
-func (c *ParallelCollector) SpillStats() SpillStats {
-	if c.spill == nil {
-		return SpillStats{}
-	}
-	return c.spill.Stats()
-}
-
-// Close releases the collector's spill files. Only needed in
-// out-of-core mode; the collector must not be used afterwards.
-func (c *ParallelCollector) Close() error {
-	if c.spill == nil {
-		return nil
-	}
-	return c.spill.close()
-}
-
-// sortShards extracts and sorts every shard's residue in parallel into
-// the reused scratch runs.
-func (c *ParallelCollector) sortShards() [][]trace.Adjacency {
-	var wg sync.WaitGroup
-	for i, shard := range c.shards {
-		wg.Add(1)
-		go func(i int, shard map[trace.Adjacency]struct{}) {
-			defer wg.Done()
-			adjs := c.sortScratch[i][:0]
-			for adj := range shard {
-				adjs = append(adjs, adj)
-			}
-			slices.SortFunc(adjs, adjacencyCmp)
-			c.sortScratch[i] = adjs
-		}(i, shard)
-	}
-	wg.Wait()
-	return c.sortScratch
-}
-
-// evidenceInMemory merges the sorted shard runs without touching disk.
-// Shards partition the adjacency space, so the dedup in the shared
-// merge is a no-op here and the output matches the serial Collector
-// exactly.
-func (c *ParallelCollector) evidenceInMemory(sorted [][]trace.Adjacency) *Evidence {
-	total := 0
-	for _, r := range sorted {
-		total += len(r)
-	}
-	srcs := make([]mergeSource[trace.Adjacency], len(sorted))
-	for i, r := range sorted {
-		srcs[i] = sliceSource(r)
-	}
-	adjs := make([]trace.Adjacency, 0, total)
-	// Slice sources cannot fail, so the merge cannot either.
-	if err := mergeDedup(srcs, adjacencyCmp, func(a trace.Adjacency) { adjs = append(adjs, a) }); err != nil {
-		panic("core: in-memory merge failed: " + err.Error())
-	}
-	all, retained := c.addrs.evidenceSet()
-	stats := c.stats
-	stats.DistinctAddrs = len(all)
-	stats.RetainedAddrs = retained
-	return &Evidence{
-		AllAddrs:    all,
-		Adjacencies: adjs,
-		Stats:       stats,
-		Monitors:    monitorEvidence(c.monitors),
-	}
-}
-
-// adjShard routes an adjacency to its owning shard. The multiplier is
-// the SplitMix64 finaliser constant, mixing both addresses into the
-// shard index so shards stay balanced even on structured corpora.
-func adjShard(a trace.Adjacency, n int) int {
-	h := uint64(a.First)<<32 | uint64(a.Second)
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return int(h % uint64(n))
+	return c.store.finish(c.sink)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mapit/internal/inet"
@@ -11,8 +12,8 @@ import (
 )
 
 // synthTraces builds a deterministic corpus large enough to exercise the
-// batching and sharding paths: a mix of clean traces, quoted-TTL-0 hops,
-// null hops, immediate repeats and interface cycles.
+// batching and table-growth paths: a mix of clean traces, quoted-TTL-0
+// hops, null hops, immediate repeats and interface cycles.
 func synthTraces(n int) []trace.Trace {
 	rng := rand.New(rand.NewSource(42))
 	addr := func() inet.Addr { return inet.Addr(0x08000000 + rng.Intn(1<<16)) }
@@ -46,7 +47,7 @@ func synthTraces(n int) []trace.Trace {
 	return traces
 }
 
-// The sharded collector must produce byte-identical evidence to the
+// The parallel collector must produce byte-identical evidence to the
 // serial collector for any worker count.
 func TestParallelCollectorEquivalence(t *testing.T) {
 	traces := synthTraces(3000)
@@ -77,7 +78,7 @@ func TestParallelCollectorEquivalence(t *testing.T) {
 	}
 }
 
-// Like the serial collector, the sharded collector stays usable after
+// Like the serial collector, the parallel collector stays usable after
 // Evidence: the pipeline restarts and later snapshots include both the
 // old and the new traces.
 func TestParallelCollectorIncremental(t *testing.T) {
@@ -119,7 +120,7 @@ func TestEvidenceSnapshotIsolation(t *testing.T) {
 	if len(ev.AllAddrs) != before {
 		t.Fatalf("snapshot AllAddrs grew from %d to %d after a later Add", before, len(ev.AllAddrs))
 	}
-	if ev.AllAddrs.Contains(inet.MustParseAddr("3.3.3.3")) {
+	if slices.Contains(ev.AllAddrs, inet.MustParseAddr("3.3.3.3")) {
 		t.Fatal("snapshot AllAddrs sees addresses added after Evidence()")
 	}
 

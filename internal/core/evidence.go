@@ -16,7 +16,12 @@ import (
 // unique adjacencies, so Evidence is what should be held in memory —
 // not the traces.
 type Evidence struct {
-	AllAddrs    inet.AddrSet
+	// AllAddrs is every responding address, ascending and
+	// duplicate-free. Every builder in this package produces that form;
+	// RunEvidence also accepts caller-built evidence in any order or
+	// with repeats, and sorts a private copy then.
+	AllAddrs []inet.Addr
+	// Adjacencies are the unique adjacencies in (First, Second) order.
 	Adjacencies []trace.Adjacency
 	Stats       trace.Stats
 
@@ -49,12 +54,10 @@ func monitorEvidence(m map[string]*monitorAcc) []MonitorEvidence {
 		return nil
 	}
 	out := make([]MonitorEvidence, 0, len(m))
+	var keys []uint64
 	for name, acc := range m {
-		adjs := make([]trace.Adjacency, 0, len(acc.adjs))
-		for adj := range acc.adjs {
-			adjs = append(adjs, adj)
-		}
-		slices.SortFunc(adjs, adjacencyCmp)
+		var adjs []trace.Adjacency
+		adjs, keys = sortedAdjKeys(acc.adjs, keys)
 		out = append(out, MonitorEvidence{Monitor: name, Traces: acc.traces, Adjacencies: adjs})
 	}
 	slices.SortFunc(out, func(a, b MonitorEvidence) int {
@@ -77,45 +80,225 @@ func recordMonitor(m map[string]*monitorAcc, monitor string, adjs []trace.Adjace
 	}
 }
 
-// EvidenceFrom distils a sanitised in-memory dataset.
+// sortedAdjKeys returns m's adjacencies as a fresh slice in (First,
+// Second) order, sorting them as packed keys through scratch.
+func sortedAdjKeys[V any](m map[trace.Adjacency]V, scratch []uint64) ([]trace.Adjacency, []uint64) {
+	scratch = scratch[:0]
+	for adj := range m {
+		scratch = append(scratch, packAdj(adj))
+	}
+	sortKeys(scratch)
+	return unpackAdjs(make([]trace.Adjacency, 0, len(scratch)), scratch), scratch
+}
+
+// EvidenceFrom distils a sanitised in-memory dataset. It is the
+// reference builder: plain maps over the sanitiser's output, sharing no
+// code with the collectors' tables, so the differential oracles compare
+// two independent implementations.
 func EvidenceFrom(s *trace.Sanitized) *Evidence {
-	c := NewCollector()
-	c.addSanitized(s)
-	return c.Evidence()
+	retained := make(inet.AddrSet)
+	adjSet := make(map[trace.Adjacency]struct{})
+	var scratch []trace.Adjacency
+	for _, t := range s.Retained {
+		scratch = trace.Adjacencies(t, scratch[:0])
+		for _, adj := range scratch {
+			adjSet[adj] = struct{}{}
+		}
+		for _, h := range t.Hops {
+			if h.Responded() {
+				retained.Add(h.Addr)
+			}
+		}
+	}
+	ev := &Evidence{
+		AllAddrs:    make([]inet.Addr, 0, len(s.AllAddrs)),
+		Adjacencies: make([]trace.Adjacency, 0, len(adjSet)),
+		Stats:       s.Stats,
+	}
+	// The sanitiser's AllAddrs holds every responding address, those of
+	// the retained traces included.
+	for a := range s.AllAddrs {
+		ev.AllAddrs = append(ev.AllAddrs, a)
+	}
+	slices.Sort(ev.AllAddrs)
+	for adj := range adjSet {
+		ev.Adjacencies = append(ev.Adjacencies, adj)
+	}
+	slices.SortFunc(ev.Adjacencies, adjacencyCmp)
+	ev.Stats.DistinctAddrs = len(ev.AllAddrs)
+	ev.Stats.RetainedAddrs = len(retained)
+	return ev
+}
+
+// evidenceStore is one collecting party's deduplicated evidence: an
+// address table of flagSeen|flagRetained bytes, an adjacency set of
+// packed keys, and the sanitisation counters. The serial Collector is
+// one store; every ParallelCollector sanitise worker owns one and
+// merges it into the collector's persistent store when it retires.
+// With a spiller the store flushes both tables as sorted runs once its
+// share of the budget is crossed.
+type evidenceStore struct {
+	addrs    flatTable[inet.Addr]
+	adjs     flatTable[uint64]
+	stats    trace.Stats
+	scratch  []trace.Adjacency
+	monitors map[string]*monitorAcc // nil unless tracking monitors
+
+	// sp is the store's spill handle (nil: never spills) and budget its
+	// byte share of SpillConfig.MemBudget.
+	sp     *spiller
+	budget int64
+}
+
+func newEvidenceStore() evidenceStore {
+	// A non-nil vals slice makes the address table carry flag bytes.
+	return evidenceStore{addrs: flatTable[inet.Addr]{vals: []uint8{}}}
+}
+
+const (
+	flagSeen uint8 = 1 << iota
+	flagRetained
+)
+
+// add sanitises one trace (§4.1) into the store and reports whether it
+// was retained.
+func (s *evidenceStore) add(t trace.Trace) bool {
+	var kept bool
+	s.scratch, kept = collectTrace(t, &s.addrs, &s.stats, s.scratch)
+	if kept {
+		for _, adj := range s.scratch {
+			s.adjs.put(packAdj(adj), 0)
+		}
+		if s.monitors != nil {
+			recordMonitor(s.monitors, t.Monitor, s.scratch)
+		}
+	}
+	if s.sp != nil {
+		s.maybeSpill()
+	}
+	return kept
+}
+
+// maybeSpill flushes the tables once the store crosses its budget share
+// (or a table reaches SpillConfig.RunEntries). A flushed table is
+// cleared for reuse; after a write failure the data stays in memory and
+// finalisation reports the sticky error.
+func (s *evidenceStore) maybeSpill() {
+	if n := s.sp.sink.cfg.RunEntries; n > 0 {
+		if s.adjs.len() >= n {
+			s.sp.flushAdjs(&s.adjs)
+		}
+		if s.addrs.len() >= n {
+			s.sp.flushAddrs(&s.addrs)
+		}
+		return
+	}
+	if int64(s.adjs.len())*adjEntryCost+int64(s.addrs.len())*addrEntryCost > s.budget {
+		s.spillAll()
+	}
+}
+
+// spillAll flushes both tables.
+func (s *evidenceStore) spillAll() {
+	s.sp.flushAdjs(&s.adjs)
+	s.sp.flushAddrs(&s.addrs)
+}
+
+// mergeInto folds the store into dst, each table smaller into larger.
+// The store must not be used afterwards.
+func (s *evidenceStore) mergeInto(dst *evidenceStore) {
+	s.addrs.mergeInto(&dst.addrs)
+	s.adjs.mergeInto(&dst.adjs)
+	for name, acc := range s.monitors {
+		d := dst.monitors[name]
+		if d == nil {
+			dst.monitors[name] = acc
+			continue
+		}
+		d.traces += acc.traces
+		for adj := range acc.adjs {
+			d.adjs[adj] = struct{}{}
+		}
+	}
+	dst.stats.TotalTraces += s.stats.TotalTraces
+	dst.stats.DiscardedTraces += s.stats.DiscardedTraces
+	dst.stats.RemovedHops += s.stats.RemovedHops
+}
+
+// finish finalises the store — merged with every run spilled to sink,
+// when there are any — into evidence sharing no storage with it. sink
+// is nil for an in-memory collector.
+func (s *evidenceStore) finish(sink *spillSink) (*Evidence, error) {
+	if sink != nil {
+		if err := sink.failed(); err != nil {
+			return nil, err
+		}
+	}
+	keys := s.adjs.appendSorted(make([]uint64, 0, s.adjs.len()), 0)
+	adjs := unpackAdjs(make([]trace.Adjacency, 0, len(keys)), keys)
+	all := s.addrs.appendSorted(make([]inet.Addr, 0, s.addrs.len()), 0)
+	var ev *Evidence
+	if sink == nil || !sink.spilled() {
+		ev = &Evidence{AllAddrs: all, Adjacencies: adjs, Stats: s.stats}
+		ev.Stats.DistinctAddrs = len(all)
+		ev.Stats.RetainedAddrs = s.addrs.count(flagRetained)
+	} else {
+		ret := s.addrs.appendSorted(nil, flagRetained)
+		var err error
+		if ev, err = sink.mergeEvidence(adjs, all, ret, s.stats); err != nil {
+			return nil, err
+		}
+	}
+	ev.Monitors = monitorEvidence(s.monitors)
+	return ev, nil
+}
+
+// collectorSpill is the spill handle both collectors expose; sink is
+// nil for an in-memory collector.
+type collectorSpill struct{ sink *spillSink }
+
+// SpillStats snapshots the out-of-core counters; zero for an in-memory
+// collector.
+func (c collectorSpill) SpillStats() SpillStats {
+	if c.sink == nil {
+		return SpillStats{}
+	}
+	return c.sink.Stats()
+}
+
+// Close releases the collector's spill files. Only needed in
+// out-of-core mode; the collector must not be used afterwards.
+func (c collectorSpill) Close() error {
+	if c.sink == nil {
+		return nil
+	}
+	return c.sink.close()
+}
+
+// mustEvidence is Evidence over Finish: the in-memory path cannot fail,
+// so an error can only be a spill failure.
+func mustEvidence(ev *Evidence, err error) *Evidence {
+	if err != nil {
+		panic("core: spill merge failed: " + err.Error())
+	}
+	return ev
 }
 
 // Collector accumulates Evidence incrementally: feed it traces one at a
 // time (Add sanitises per §4.1) and it never retains them. Use it to
-// stream arbitrarily large corpora from disk. With a SpillConfig (see
-// NewCollectorSpill) the dedup structures spill to columnar disk
-// segments under a memory budget and Finish merges them back —
-// byte-identical to the in-memory result.
+// stream arbitrarily large corpora from disk. It is the
+// ParallelCollector's evidence store driven from the caller's
+// goroutine. With a SpillConfig (see NewCollectorSpill) the store
+// spills sorted runs to columnar disk segments under a memory budget
+// and Finish merges them back — byte-identical to the in-memory result.
 type Collector struct {
-	addrs       addrFlags
-	adjacencies map[trace.Adjacency]struct{}
-	stats       trace.Stats
-	scratch     []trace.Adjacency
-
-	// sortScratch is the reusable key-extraction/sort buffer of the
-	// in-memory Evidence path; the returned evidence never aliases it.
-	sortScratch []trace.Adjacency
-
-	// monitors is the opt-in per-vantage-point attribution (see
-	// TrackMonitors); nil when tracking is off. Attribution never
-	// spills: it is bounded by monitors × their unique adjacencies and
-	// exists to feed a query index, not the algorithm.
-	monitors map[string]*monitorAcc
-
-	// spill is non-nil when out-of-core mode is enabled.
-	spill *spiller
+	collectorSpill
+	store evidenceStore
 }
 
 // NewCollector returns an empty in-memory collector.
 func NewCollector() *Collector {
-	return &Collector{
-		addrs:       make(addrFlags),
-		adjacencies: make(map[trace.Adjacency]struct{}),
-	}
+	return &Collector{store: newEvidenceStore()}
 }
 
 // NewCollectorSpill returns a collector that keeps its resident dedup
@@ -126,7 +309,9 @@ func NewCollector() *Collector {
 func NewCollectorSpill(cfg SpillConfig) *Collector {
 	c := NewCollector()
 	if cfg.enabled() {
-		c.spill = newSpiller(newSpillSink(cfg))
+		c.sink = newSpillSink(cfg)
+		c.store.sp = newSpiller(c.sink)
+		c.store.budget = cfg.MemBudget
 	}
 	return c
 }
@@ -136,99 +321,22 @@ func NewCollectorSpill(cfg SpillConfig) *Collector {
 // the snapshot query index is built from. Call it before the first Add;
 // attribution stays in memory even on a spilling collector.
 func (c *Collector) TrackMonitors() {
-	if c.monitors == nil {
-		c.monitors = make(map[string]*monitorAcc)
+	if c.store.monitors == nil {
+		c.store.monitors = make(map[string]*monitorAcc)
 	}
 }
 
 // Add sanitises one trace (§4.1) and accumulates its evidence. It
 // reports whether the trace was retained.
-func (c *Collector) Add(t trace.Trace) bool {
-	var kept bool
-	c.scratch, kept = collectTrace(t, c.addrs, &c.stats, c.scratch)
-	if !kept {
-		return false
-	}
-	for _, adj := range c.scratch {
-		c.adjacencies[adj] = struct{}{}
-	}
-	if c.monitors != nil {
-		recordMonitor(c.monitors, t.Monitor, c.scratch)
-	}
-	c.maybeSpill()
-	return true
-}
-
-// maybeSpill flushes dedup structures to disk when the configured
-// budget is crossed. Flushed structures restart empty (fresh maps, so
-// the buckets are actually released); anything unflushed — including
-// after a write failure — stays in memory and correctness is
-// unaffected.
-func (c *Collector) maybeSpill() {
-	sp := c.spill
-	if sp == nil {
-		return
-	}
-	cfg := sp.sink.cfg
-	if n := cfg.RunEntries; n > 0 {
-		if len(c.adjacencies) >= n && sp.flushAdjSet(c.adjacencies) {
-			c.adjacencies = make(map[trace.Adjacency]struct{})
-		}
-		if len(c.addrs) >= n && sp.flushAddrFlags(c.addrs) {
-			c.addrs = make(addrFlags)
-		}
-		return
-	}
-	est := int64(len(c.adjacencies))*adjEntryCost + int64(len(c.addrs))*addrEntryCost
-	if est <= cfg.MemBudget {
-		return
-	}
-	if sp.flushAdjSet(c.adjacencies) {
-		c.adjacencies = make(map[trace.Adjacency]struct{})
-	}
-	if sp.flushAddrFlags(c.addrs) {
-		c.addrs = make(addrFlags)
-	}
-}
-
-// addSanitized ingests an already-sanitised dataset without re-running
-// the sanitiser.
-func (c *Collector) addSanitized(s *trace.Sanitized) {
-	for a := range s.AllAddrs {
-		c.addrs[a] |= flagSeen
-	}
-	for _, t := range s.Retained {
-		c.scratch = trace.Adjacencies(t, c.scratch[:0])
-		for _, adj := range c.scratch {
-			c.adjacencies[adj] = struct{}{}
-		}
-		if c.monitors != nil {
-			recordMonitor(c.monitors, t.Monitor, c.scratch)
-		}
-		for _, h := range t.Hops {
-			if h.Responded() {
-				c.addrs[h.Addr] |= flagSeen | flagRetained
-			}
-		}
-	}
-	c.stats = s.Stats
-}
+func (c *Collector) Add(t trace.Trace) bool { return c.store.add(t) }
 
 // Traces returns how many traces the collector has seen.
-func (c *Collector) Traces() int { return c.stats.TotalTraces }
+func (c *Collector) Traces() int { return c.store.stats.TotalTraces }
 
-// Evidence finalises the collector. The collector remains usable; the
-// returned adjacency slice is sorted for determinism, and the address
-// set is a snapshot copy so later Adds cannot mutate returned evidence.
-// On a spilling collector prefer Finish — Evidence panics if the
-// external merge fails (the in-memory path cannot fail).
-func (c *Collector) Evidence() *Evidence {
-	ev, err := c.Finish()
-	if err != nil {
-		panic("core: spill merge failed: " + err.Error())
-	}
-	return ev
-}
+// Evidence finalises the collector (see Finish). On a spilling
+// collector prefer Finish — Evidence panics if the external merge
+// fails (the in-memory path cannot fail).
+func (c *Collector) Evidence() *Evidence { return mustEvidence(c.Finish()) }
 
 // Finish finalises the collector, merging any spilled runs with the
 // in-memory residue. The collector remains usable afterwards (spilled
@@ -236,98 +344,13 @@ func (c *Collector) Evidence() *Evidence {
 // shares no storage with the collector. Errors are only possible in
 // out-of-core mode: a spill write that failed during ingest, or an
 // unreadable/corrupt segment at merge time.
-func (c *Collector) Finish() (*Evidence, error) {
-	if c.spill == nil || !c.spill.sink.spilled() {
-		if c.spill != nil {
-			if err := c.spill.sink.failed(); err != nil {
-				return nil, err
-			}
-		}
-		return c.evidenceInMemory(), nil
-	}
-	adjRes := c.sortedAdjResidue()
-	allRes, retRes := c.addrs.sortedRuns(nil, nil)
-	ev, err := c.spill.sink.mergeEvidence(
-		[][]trace.Adjacency{adjRes},
-		[][]inet.Addr{allRes}, [][]inet.Addr{retRes},
-		c.stats)
-	if err != nil {
-		return nil, err
-	}
-	ev.Monitors = monitorEvidence(c.monitors)
-	return ev, nil
-}
-
-// SpillStats snapshots the out-of-core counters; zero for an in-memory
-// collector.
-func (c *Collector) SpillStats() SpillStats {
-	if c.spill == nil {
-		return SpillStats{}
-	}
-	return c.spill.sink.Stats()
-}
-
-// Close releases the collector's spill files. Only needed in
-// out-of-core mode; the collector must not be used afterwards.
-func (c *Collector) Close() error {
-	if c.spill == nil {
-		return nil
-	}
-	return c.spill.sink.close()
-}
-
-// evidenceInMemory is the spill-free finalisation. The key extraction
-// and sort run in a scratch buffer reused across calls; the returned
-// slice is a fresh exact-size copy, preserving the no-aliasing
-// contract.
-func (c *Collector) evidenceInMemory() *Evidence {
-	c.sortScratch = c.sortScratch[:0]
-	for adj := range c.adjacencies {
-		c.sortScratch = append(c.sortScratch, adj)
-	}
-	slices.SortFunc(c.sortScratch, adjacencyCmp)
-	adjs := make([]trace.Adjacency, len(c.sortScratch))
-	copy(adjs, c.sortScratch)
-	all, retained := c.addrs.evidenceSet()
-	stats := c.stats
-	stats.DistinctAddrs = len(all)
-	stats.RetainedAddrs = retained
-	return &Evidence{
-		AllAddrs:    all,
-		Adjacencies: adjs,
-		Stats:       stats,
-		Monitors:    monitorEvidence(c.monitors),
-	}
-}
-
-// sortedAdjResidue snapshots the in-memory adjacency residue as a
-// sorted slice for the external merge, through the reused scratch.
-func (c *Collector) sortedAdjResidue() []trace.Adjacency {
-	c.sortScratch = c.sortScratch[:0]
-	for adj := range c.adjacencies {
-		c.sortScratch = append(c.sortScratch, adj)
-	}
-	slices.SortFunc(c.sortScratch, adjacencyCmp)
-	return c.sortScratch
-}
-
-// addrFlags is a collector's address evidence: one entry per address
-// seen on any trace, flagged flagSeen, with flagRetained added once the
-// address responds on a trace that survives sanitisation. AllAddrs is
-// the key set and the retained count is the flagRetained population,
-// so each hop costs one map operation where two address sets cost two.
-type addrFlags map[inet.Addr]uint8
-
-const (
-	flagSeen uint8 = 1 << iota
-	flagRetained
-)
+func (c *Collector) Finish() (*Evidence, error) { return c.store.finish(c.sink) }
 
 // collectTrace is the per-trace step every collector shares: it
 // sanitises t (§4.1), counts it in stats, flags its responding
-// addresses in flags, and — when the trace is retained — returns its
+// addresses in addrs, and — when the trace is retained — returns its
 // adjacencies in scratch (reused, truncated first).
-func collectTrace(t trace.Trace, flags addrFlags, stats *trace.Stats,
+func collectTrace(t trace.Trace, addrs *flatTable[inet.Addr], stats *trace.Stats,
 	scratch []trace.Adjacency) ([]trace.Adjacency, bool) {
 	stats.TotalTraces++
 	clean, res := trace.Sanitize(t)
@@ -341,7 +364,7 @@ func collectTrace(t trace.Trace, flags addrFlags, stats *trace.Stats,
 			if !res.Discarded && clean.Hops[i].Responded() {
 				f |= flagRetained
 			}
-			flags[h.Addr] |= f
+			addrs.put(h.Addr, f)
 		}
 	}
 	if res.Discarded {
@@ -351,41 +374,16 @@ func collectTrace(t trace.Trace, flags addrFlags, stats *trace.Stats,
 	return trace.Adjacencies(clean, scratch[:0]), true
 }
 
-// merge ORs src's flags into f.
-func (f addrFlags) merge(src addrFlags) {
-	for a, fl := range src {
-		f[a] |= fl
-	}
-}
+// packAdj packs an adjacency as First<<32|Second: packed keys sort in
+// the canonical (First, Second) order.
+func packAdj(a trace.Adjacency) uint64 { return uint64(a.First)<<32 | uint64(a.Second) }
 
-// evidenceSet returns the finalised AllAddrs set (a fresh map) and the
-// number of retained addresses.
-func (f addrFlags) evidenceSet() (inet.AddrSet, int) {
-	set := make(inet.AddrSet, len(f))
-	retained := 0
-	for a, fl := range f {
-		set[a] = struct{}{}
-		if fl&flagRetained != 0 {
-			retained++
-		}
+// unpackAdjs appends the adjacencies of packed keys to dst.
+func unpackAdjs(dst []trace.Adjacency, keys []uint64) []trace.Adjacency {
+	for _, k := range keys {
+		dst = append(dst, trace.Adjacency{First: inet.Addr(k >> 32), Second: inet.Addr(uint32(k))})
 	}
-	return set, retained
-}
-
-// sortedRuns splits f into the two sorted address runs of the spill
-// format — every address (streamAll) and the retained ones (streamRet)
-// — appending to all and ret from length zero.
-func (f addrFlags) sortedRuns(all, ret []inet.Addr) ([]inet.Addr, []inet.Addr) {
-	all, ret = all[:0], ret[:0]
-	for a, fl := range f {
-		all = append(all, a)
-		if fl&flagRetained != 0 {
-			ret = append(ret, a)
-		}
-	}
-	slices.Sort(all)
-	slices.Sort(ret)
-	return all, ret
+	return dst
 }
 
 // adjacencyCmp orders adjacencies by (First, Second) — the canonical

@@ -521,7 +521,7 @@ func forEachComponent(workers, n int, f func(i int)) {
 // (snapshots are defined on the global interleaving), or fewer than
 // two components. Outputs are byte-identical to the monolithic engine
 // for every worker count.
-func runPartitioned(cfg *Config, ev *Evidence, in runInput) (*Result, *PartitionInfo) {
+func runPartitioned(cfg *Config, in runInput) (*Result, *PartitionInfo) {
 	if cfg.DisablePartition {
 		return nil, nil
 	}
@@ -596,7 +596,7 @@ func runPartitioned(cfg *Config, ev *Evidence, in runInput) (*Result, *Partition
 
 	r := &Result{}
 	pprof.Do(ctx, pprof.Labels("mapit_phase", "merge"), func(context.Context) {
-		mergeResults(cfg, ev, runs, results, probes, r, T)
+		mergeResults(cfg, in, runs, results, probes, r, T)
 	})
 	r.Partition = partitionInfo(len(in.addrs), runs, replays)
 	return r, nil
@@ -607,7 +607,7 @@ func runPartitioned(cfg *Config, ev *Evidence, in runInput) (*Result, *Partition
 // lists with the engine's own comparators (addresses are disjoint
 // across components, so the order is total and deterministic),
 // reconstruct the diagnostics, and merge the audit reports.
-func mergeResults(cfg *Config, ev *Evidence, runs []*compRun,
+func mergeResults(cfg *Config, in runInput, runs []*compRun,
 	results []*Result, probes [][]ProbeSuggestion, r *Result, T int) {
 	total, ptotal := 0, 0
 	for i := range results {
@@ -626,14 +626,14 @@ func mergeResults(cfg *Config, ev *Evidence, runs []*compRun,
 		}
 		slices.SortFunc(r.ProbeSuggestions, probeCmp)
 	}
-	r.Diag = mergeDiagnostics(runs, T, len(ev.AllAddrs))
+	r.Diag = mergeDiagnostics(runs, T, len(in.addrs))
 	for _, c := range runs {
 		r.Diag.StubInferences += c.st.diag.StubInferences
 	}
 	if cfg.Audit.Enabled() {
 		rep := audit.NewReport(cfg.Audit.Mode)
 		pa := newRunAuditor(cfg.Audit)
-		auditPartitionInvariants(pa, ev, runs)
+		auditPartitionInvariants(pa, in, runs)
 		for _, c := range runs {
 			rep.Merge(c.st.auditor.report, cfg.Audit.Cap())
 		}

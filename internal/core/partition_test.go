@@ -16,9 +16,9 @@ import (
 // evidence builds an Evidence directly from address strings and
 // (first, second) adjacency pairs.
 func evidence(addrs []string, adjs ...[2]string) *Evidence {
-	ev := &Evidence{AllAddrs: make(inet.AddrSet)}
+	ev := &Evidence{}
 	for _, a := range addrs {
-		ev.AllAddrs.Add(ip(a))
+		ev.AllAddrs = append(ev.AllAddrs, ip(a))
 	}
 	for _, adj := range adjs {
 		ev.Adjacencies = append(ev.Adjacencies, trace.Adjacency{First: ip(adj[0]), Second: ip(adj[1])})
@@ -185,7 +185,7 @@ func TestPartitionEvidenceClosure(t *testing.T) {
 				adjTotal += len(comp.adjs)
 				for _, adj := range comp.adjs {
 					for _, a := range [2]inet.Addr{adj.First, adj.Second} {
-						if tc.ev.AllAddrs.Contains(a) && !slices.Contains(comp.addrs, a) {
+						if slices.Contains(tc.ev.AllAddrs, a) && !slices.Contains(comp.addrs, a) {
 							t.Errorf("component %d: adjacency endpoint %v crosses the boundary", i, a)
 						}
 					}
@@ -680,10 +680,10 @@ func TestPartitionComponentInputs(t *testing.T) {
 func TestPartitionOutsideEndpointsSound(t *testing.T) {
 	ev, cfg := islandEvidence(t, 17, 3)
 	sorted := inputOf(ev).addrs
-	caller := &Evidence{AllAddrs: make(inet.AddrSet)}
+	caller := &Evidence{}
 	for i, a := range sorted {
 		if i%5 != 2 { // every fifth address observed only as an endpoint
-			caller.AllAddrs.Add(a)
+			caller.AllAddrs = append(caller.AllAddrs, a)
 		}
 	}
 	caller.Adjacencies = slices.Clone(ev.Adjacencies)

@@ -33,7 +33,7 @@ func RunEvidence(ev *Evidence, cfg Config) (*Result, error) {
 	// that reuse one Config across runs compile once.
 	cfg.freeze()
 	in := inputOf(ev)
-	r, pinfo := runPartitioned(&cfg, ev, in)
+	r, pinfo := runPartitioned(&cfg, in)
 	if r == nil {
 		st := newRunState(&cfg, in)
 		st.fixpoint()

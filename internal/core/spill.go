@@ -11,17 +11,19 @@ import (
 	"mapit/internal/trace"
 )
 
-// Out-of-core evidence store (DESIGN.md §11). The collectors' dedup
-// structures — the adjacency set and the address-flag set — are the
-// only ingest state that grows with corpus size. When a memory budget
-// is configured, a collector flushes each structure as sorted,
-// duplicate-free *runs* into a columnar spill segment (trace.Segment*)
-// whenever its estimated resident cost crosses the budget (the flag
-// set splits into one all-addresses run and one retained run), and
-// finalisation k-way merges the spilled runs with the in-memory residue
-// (mergeDedup) into evidence byte-identical to the in-memory path: the
-// output is the sorted union of the runs, and the union is determined
-// by the traces alone — never by where the run boundaries fell.
+// Out-of-core evidence store (DESIGN.md §11). The collectors' flat
+// tables — the adjacency set and the address table — are the only
+// ingest state that grows with corpus size. When a memory budget is
+// configured, every evidence store (the serial collector's, or each
+// parallel worker's) flushes both tables as sorted, duplicate-free
+// *runs* into its own columnar spill segment (trace.Segment*) whenever
+// its estimated resident cost crosses its share of the budget (the
+// address table splits into one all-addresses run and one retained
+// run), and finalisation k-way merges the spilled runs with the
+// in-memory residue (mergeDedup) into evidence byte-identical to the
+// in-memory path: the output is the sorted union of the runs, and the
+// union is determined by the traces alone — never by where the run
+// boundaries fell.
 
 // SpillConfig bounds a collector's resident ingest state.
 // The zero value disables spilling entirely.
@@ -32,8 +34,9 @@ type SpillConfig struct {
 	Dir string
 	// MemBudget is the target ceiling, in bytes, for the estimated
 	// resident cost of the collector's dedup structures (see
-	// adjEntryCost / addrEntryCost). Crossing it flushes the structures
-	// to disk. <= 0 means no byte budget.
+	// adjEntryCost / addrEntryCost). A ParallelCollector splits it
+	// evenly across its workers; a store crossing its share flushes its
+	// structures to disk. <= 0 means no byte budget.
 	MemBudget int64
 	// RunEntries, when > 0, overrides the byte budget with a per-
 	// structure entry threshold: a structure flushes as soon as it holds
@@ -45,13 +48,15 @@ type SpillConfig struct {
 // enabled reports whether the configuration asks for spilling at all.
 func (c SpillConfig) enabled() bool { return c.MemBudget > 0 || c.RunEntries > 0 }
 
-// Estimated resident bytes per entry of the dedup structures: a
-// map[Adjacency]struct{} entry (8-byte key plus bucket overhead) and an
-// address-flag entry (4-byte key and 1-byte flags padded to an 8-byte
-// slot, plus overhead — the cost of one entry in each of two address
-// sets). Deliberately rough — the budget is a ceiling on an estimate,
-// and the benchmark asserts the real heap stays under the configured
-// ceiling end to end.
+// Estimated resident bytes per entry of the dedup structures. A flat
+// table slot is 8 bytes for an adjacency and 5 for an address; a table
+// fills to between 3/8 and 3/4 of its slots, a growth briefly holds the
+// old and the new slots, and a flush stages each entry through the
+// spiller's scratch — at worst about 45 bytes an adjacency and 25 an
+// address. The estimates keep a wide margin over that, which holds a
+// spilling collector's heap well inside its budget. Deliberately rough
+// — the budget is a ceiling on an estimate, and the benchmark asserts
+// the real heap stays under the configured ceiling end to end.
 const (
 	adjEntryCost  = 56
 	addrEntryCost = 96
@@ -83,9 +88,9 @@ func (s SpillStats) String() string {
 
 // spillSink is the shared spill state of one collector: configuration,
 // the file registry, counters, and the sticky first error. Individual
-// segment files are written by exactly one party (the serial collector,
-// one shard owner, or one worker) without locking; only the registry,
-// counters and error go through the mutex.
+// segment files are written by exactly one party (the serial collector
+// or one worker) without locking; only the registry, counters and
+// error go through the mutex.
 type spillSink struct {
 	cfg SpillConfig
 
@@ -208,9 +213,10 @@ type spillFile struct {
 type spiller struct {
 	sink *spillSink
 	file *spillFile
-	// adjScratch / addrScratch / retScratch are the reusable sort
-	// buffers runs are staged through; nothing retains them past the
-	// Append call.
+	// keyScratch / adjScratch / addrScratch / retScratch are the
+	// reusable buffers runs are staged through; nothing retains them
+	// past the Append call.
+	keyScratch  []uint64
 	adjScratch  []trace.Adjacency
 	addrScratch []inet.Addr
 	retScratch  []inet.Addr
@@ -231,23 +237,20 @@ func (sp *spiller) ensureFile() (*spillFile, error) {
 	return sf, nil
 }
 
-// flushAdjSet writes the set as one sorted adjacency run and reports
-// whether it was spilled (the caller must then discard the set). A set
-// that is empty, or any write failure, leaves the set untouched in
-// memory — earlier runs in the file remain valid either way.
-func (sp *spiller) flushAdjSet(set map[trace.Adjacency]struct{}) bool {
-	if len(set) == 0 || sp.sink.failed() != nil {
+// flushAdjs writes the adjacency set as one sorted run and clears it,
+// reporting whether it was spilled. An empty set, or any write failure,
+// leaves the set untouched in memory — earlier runs in the file remain
+// valid either way.
+func (sp *spiller) flushAdjs(set *flatTable[uint64]) bool {
+	if set.len() == 0 || sp.sink.failed() != nil {
 		return false
 	}
 	sf, err := sp.ensureFile()
 	if err != nil {
 		return false
 	}
-	sp.adjScratch = sp.adjScratch[:0]
-	for adj := range set {
-		sp.adjScratch = append(sp.adjScratch, adj)
-	}
-	slices.SortFunc(sp.adjScratch, adjacencyCmp)
+	sp.keyScratch = set.appendSorted(sp.keyScratch, 0)
+	sp.adjScratch = unpackAdjs(sp.adjScratch[:0], sp.keyScratch)
 	run, err := sf.sw.AppendAdjacencyRun(sp.adjScratch)
 	if err != nil {
 		sp.sink.fail(err)
@@ -255,21 +258,27 @@ func (sp *spiller) flushAdjSet(set map[trace.Adjacency]struct{}) bool {
 	}
 	sf.runs[streamAdj] = append(sf.runs[streamAdj], run)
 	sp.sink.noteRun(run)
+	set.clear()
 	return true
 }
 
-// flushAddrFlags writes an address-flag set as two sorted runs — every
+// flushAddrs writes an address table as two sorted runs — every
 // address into streamAll, the retained ones into streamRet — and
-// reports whether both were spilled (the caller must then discard the
-// set). An empty set, or any write failure, leaves the set in memory;
-// a failure is sticky, so finalisation reports it.
-func (sp *spiller) flushAddrFlags(flags addrFlags) bool {
-	if len(flags) == 0 || sp.sink.failed() != nil {
+// clears it, reporting whether both were spilled. An empty table, or
+// any write failure, leaves the table in memory; a failure is sticky,
+// so finalisation reports it.
+func (sp *spiller) flushAddrs(addrs *flatTable[inet.Addr]) bool {
+	if addrs.len() == 0 || sp.sink.failed() != nil {
 		return false
 	}
-	sp.addrScratch, sp.retScratch = flags.sortedRuns(sp.addrScratch, sp.retScratch)
-	return sp.appendAddrRun(sp.addrScratch, streamAll) &&
-		(len(sp.retScratch) == 0 || sp.appendAddrRun(sp.retScratch, streamRet))
+	sp.addrScratch = addrs.appendSorted(sp.addrScratch, 0)
+	sp.retScratch = addrs.appendSorted(sp.retScratch, flagRetained)
+	if !sp.appendAddrRun(sp.addrScratch, streamAll) ||
+		(len(sp.retScratch) > 0 && !sp.appendAddrRun(sp.retScratch, streamRet)) {
+		return false
+	}
+	addrs.clear()
+	return true
 }
 
 // appendAddrRun writes one sorted, duplicate-free address run into the
@@ -326,12 +335,12 @@ func addrCursorSource(f *os.File, run trace.SegmentRun) (mergeSource[inet.Addr],
 }
 
 // mergeEvidence finalises a spilled collector: every spilled run joins
-// the in-memory residues (already sorted, duplicate-free slices) in one
+// the in-memory residue (sorted, duplicate-free slices) in one
 // bounded-memory k-way merge per stream. stats must carry the ingest
 // counters; the distinct/retained address counts come out of the merge.
 // Peak extra memory is one page buffer per open cursor plus the final
 // evidence itself.
-func (s *spillSink) mergeEvidence(adjRes [][]trace.Adjacency, allRes, retRes [][]inet.Addr,
+func (s *spillSink) mergeEvidence(adjRes []trace.Adjacency, allRes, retRes []inet.Addr,
 	stats trace.Stats) (*Evidence, error) {
 	if err := s.failed(); err != nil {
 		return nil, err
@@ -359,11 +368,9 @@ func (s *spillSink) mergeEvidence(adjRes [][]trace.Adjacency, allRes, retRes [][
 			adjBound += run.Count
 		}
 	}
-	for _, res := range adjRes {
-		if len(res) > 0 {
-			adjSrcs = append(adjSrcs, sliceSource(res))
-			adjBound += len(res)
-		}
+	if len(adjRes) > 0 {
+		adjSrcs = append(adjSrcs, sliceSource(adjRes))
+		adjBound += len(adjRes)
 	}
 	adjs := make([]trace.Adjacency, 0, adjBound)
 	err := mergeDedup(adjSrcs, adjacencyCmp, func(a trace.Adjacency) { adjs = append(adjs, a) })
@@ -371,9 +378,9 @@ func (s *spillSink) mergeEvidence(adjRes [][]trace.Adjacency, allRes, retRes [][
 		return nil, err
 	}
 
-	// Address streams: rebuild the AllAddrs set (pre-sized from the run
-	// counts) and take the unique counts the Stats report.
-	mergeAddrs := func(stream int, res [][]inet.Addr) ([]mergeSource[inet.Addr], int, error) {
+	// Address streams: append AllAddrs (pre-sized from the run counts)
+	// and take the unique counts the Stats report.
+	mergeAddrs := func(stream int, res []inet.Addr) ([]mergeSource[inet.Addr], int, error) {
 		var srcs []mergeSource[inet.Addr]
 		bound := 0
 		for _, sf := range files {
@@ -386,11 +393,9 @@ func (s *spillSink) mergeEvidence(adjRes [][]trace.Adjacency, allRes, retRes [][
 				bound += run.Count
 			}
 		}
-		for _, r := range res {
-			if len(r) > 0 {
-				srcs = append(srcs, sliceSource(r))
-				bound += len(r)
-			}
+		if len(res) > 0 {
+			srcs = append(srcs, sliceSource(res))
+			bound += len(res)
 		}
 		return srcs, bound, nil
 	}
@@ -398,9 +403,9 @@ func (s *spillSink) mergeEvidence(adjRes [][]trace.Adjacency, allRes, retRes [][
 	if err != nil {
 		return nil, err
 	}
-	allAddrs := make(inet.AddrSet, allBound)
+	allAddrs := make([]inet.Addr, 0, allBound)
 	if err := mergeDedup(allSrcs, addrCmp,
-		func(a inet.Addr) { allAddrs[a] = struct{}{} }); err != nil {
+		func(a inet.Addr) { allAddrs = append(allAddrs, a) }); err != nil {
 		return nil, err
 	}
 	retSrcs, _, err := mergeAddrs(streamRet, retRes)

@@ -378,15 +378,25 @@ func TestSpillSegmentDamage(t *testing.T) {
 		sink := newSpillSink(SpillConfig{Dir: t.TempDir(), RunEntries: 1})
 		return sink, newSpiller(sink)
 	}
-	adjSet := map[trace.Adjacency]struct{}{
-		{First: 10, Second: 11}: {}, {First: 12, Second: 13}: {},
+	// Each flush clears its table, so every case fills fresh ones.
+	adjSet := func() *flatTable[uint64] {
+		var set flatTable[uint64]
+		set.put(packAdj(trace.Adjacency{First: 10, Second: 11}), 0)
+		set.put(packAdj(trace.Adjacency{First: 12, Second: 13}), 0)
+		return &set
 	}
 	addrRun := []inet.Addr{21, 22, 23}
-	addrSet := addrFlags{21: flagSeen, 22: flagSeen | flagRetained, 23: flagSeen}
+	addrSet := func() *flatTable[inet.Addr] {
+		s := newEvidenceStore()
+		s.addrs.put(21, flagSeen)
+		s.addrs.put(22, flagSeen|flagRetained)
+		s.addrs.put(23, flagSeen)
+		return &s.addrs
+	}
 
 	t.Run("adj-run-truncated", func(t *testing.T) {
 		sink, sp := newParty(t)
-		if !sp.flushAdjSet(adjSet) {
+		if !sp.flushAdjs(adjSet()) {
 			t.Fatal("flush failed")
 		}
 		if err := sp.file.sw.Flush(); err != nil {
@@ -426,7 +436,7 @@ func TestSpillSegmentDamage(t *testing.T) {
 
 	t.Run("writer-flush-failure", func(t *testing.T) {
 		sink, sp := newParty(t)
-		if !sp.flushAdjSet(adjSet) {
+		if !sp.flushAdjs(adjSet()) {
 			t.Fatal("flush failed")
 		}
 		// Closing the descriptor under the writer makes the merge's
@@ -445,7 +455,7 @@ func TestSpillSegmentDamage(t *testing.T) {
 
 	t.Run("close-missing-file", func(t *testing.T) {
 		sink, sp := newParty(t)
-		if !sp.flushAdjSet(adjSet) {
+		if !sp.flushAdjs(adjSet()) {
 			t.Fatal("flush failed")
 		}
 		if err := os.Remove(sp.file.f.Name()); err != nil {
@@ -459,7 +469,7 @@ func TestSpillSegmentDamage(t *testing.T) {
 	t.Run("flush-after-failure-is-noop", func(t *testing.T) {
 		sink, sp := newParty(t)
 		sink.fail(errors.New("boom"))
-		if sp.flushAdjSet(adjSet) || sp.flushAddrFlags(addrSet) {
+		if sp.flushAdjs(adjSet()) || sp.flushAddrs(addrSet()) {
 			t.Error("flush reported success on a failed sink")
 		}
 		if sink.spilled() {

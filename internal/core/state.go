@@ -172,13 +172,20 @@ type runInput struct {
 	adjs  []trace.Adjacency
 }
 
-// inputOf sorts ev's observed set into a runInput.
+// inputOf takes ev's observed set as the runInput's ascending slice:
+// as is when it is already strictly ascending (every collector's
+// output), else as a sorted, deduplicated copy — the caller's slice is
+// never modified.
 func inputOf(ev *Evidence) runInput {
-	addrs := make([]inet.Addr, 0, len(ev.AllAddrs))
-	for a := range ev.AllAddrs {
-		addrs = append(addrs, a)
+	addrs := slices.Clip(ev.AllAddrs)
+	for i := 1; i < len(addrs); i++ {
+		if addrs[i-1] >= addrs[i] {
+			addrs = slices.Clone(addrs)
+			slices.Sort(addrs)
+			addrs = slices.Clip(slices.Compact(addrs))
+			break
+		}
 	}
-	slices.Sort(addrs)
 	return runInput{addrs: addrs, adjs: ev.Adjacencies}
 }
 

@@ -127,9 +127,12 @@ type Window struct {
 	total, discarded, removedHops int
 
 	// dirty marks contents changed since the last recompute; last is
-	// the cached Result reused by no-op Advances.
+	// the cached Result reused by no-op Advances. ev caches the
+	// materialised Evidence of the current contents (see evidence);
+	// nil once they change.
 	dirty bool
 	last  *Result
+	ev    *Evidence
 
 	wstats WindowStats
 	// links and iface state feed the churn counters: links present at
@@ -222,6 +225,7 @@ func (w *Window) Observe(t trace.Trace) bool {
 // count>0, so any Observe/expire interleaving lands on the same state
 // as a fresh collector over the surviving traces.
 func (w *Window) apply(e windowEntry, delta int) {
+	w.ev = nil
 	w.total += delta
 	w.removedHops += delta * e.removedHops
 	if e.discarded {
@@ -289,7 +293,7 @@ func (w *Window) Advance(now int64) (*Result, error) {
 	}
 	w.wstats.Advances++
 	if w.dirty || w.last == nil {
-		res, err := RunEvidence(w.Evidence(), w.opt.Config)
+		res, err := RunEvidence(w.evidence(), w.opt.Config)
 		if err != nil {
 			return nil, err
 		}
@@ -306,22 +310,39 @@ func (w *Window) Advance(now int64) (*Result, error) {
 	return &out, nil
 }
 
-// Evidence materialises the current contents as a fresh *Evidence,
-// byte-identical to a new Collector fed only the resident traces. The
-// returned value shares no storage with the window.
+// Evidence returns the current contents as Evidence, byte-identical
+// to a new Collector fed only the resident traces. It is materialised
+// once per change of contents — the Evidence the last recompute ran on
+// is handed out again until the next Observe or expiry — so the
+// returned value is shared and read-only: callers must not modify it.
+// The window never mutates it either; later changes build a fresh one.
 func (w *Window) Evidence() *Evidence {
-	adjs := make([]trace.Adjacency, 0, len(w.adjCount))
-	for adj := range w.adjCount {
-		adjs = append(adjs, adj)
+	ev := w.evidence()
+	if w.mon != nil && ev.Monitors == nil {
+		var keys []uint64
+		ev.Monitors = make([]MonitorEvidence, 0, len(w.mon))
+		for name, acc := range w.mon {
+			me := MonitorEvidence{Monitor: name, Traces: acc.traces}
+			me.Adjacencies, keys = sortedAdjKeys(acc.adjs, keys)
+			ev.Monitors = append(ev.Monitors, me)
+		}
+		slices.SortFunc(ev.Monitors, func(a, b MonitorEvidence) int {
+			return strings.Compare(a.Monitor, b.Monitor)
+		})
 	}
-	slices.SortFunc(adjs, adjacencyCmp)
-	all := make(inet.AddrSet, len(w.allCount))
-	for a := range w.allCount {
-		all.Add(a)
+	return ev
+}
+
+// evidence returns the cached Evidence of the current contents, built
+// on first use without the per-monitor attribution: a recompute never
+// reads it, and holding it through RunEvidence would only keep it
+// live. Evidence adds it before the value first leaves the window.
+func (w *Window) evidence() *Evidence {
+	if w.ev != nil {
+		return w.ev
 	}
 	ev := &Evidence{
-		AllAddrs:    all,
-		Adjacencies: adjs,
+		AllAddrs: make([]inet.Addr, 0, len(w.allCount)),
 		Stats: trace.Stats{
 			TotalTraces:     w.total,
 			DiscardedTraces: w.discarded,
@@ -330,22 +351,12 @@ func (w *Window) Evidence() *Evidence {
 			RetainedAddrs:   len(w.retCount),
 		},
 	}
-	if w.mon != nil {
-		out := make([]MonitorEvidence, 0, len(w.mon))
-		for name, acc := range w.mon {
-			me := MonitorEvidence{Monitor: name, Traces: acc.traces,
-				Adjacencies: make([]trace.Adjacency, 0, len(acc.adjs))}
-			for adj := range acc.adjs {
-				me.Adjacencies = append(me.Adjacencies, adj)
-			}
-			slices.SortFunc(me.Adjacencies, adjacencyCmp)
-			out = append(out, me)
-		}
-		slices.SortFunc(out, func(a, b MonitorEvidence) int {
-			return strings.Compare(a.Monitor, b.Monitor)
-		})
-		ev.Monitors = out
+	ev.Adjacencies, _ = sortedAdjKeys(w.adjCount, nil)
+	for a := range w.allCount {
+		ev.AllAddrs = append(ev.AllAddrs, a)
 	}
+	sortKeys(ev.AllAddrs)
+	w.ev = ev
 	return ev
 }
 

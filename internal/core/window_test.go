@@ -447,3 +447,52 @@ func TestWindowNoRecomputeSharesResult(t *testing.T) {
 		t.Fatal("no-op advance did not share the cached inference slice")
 	}
 }
+
+// TestWindowEvidenceBuiltOnce pins the Evidence contract: between
+// changes of contents every call hands back the one value the recompute
+// ran on, attribution included, and a later change builds a fresh value
+// without touching the one already handed out.
+func TestWindowEvidenceBuiltOnce(t *testing.T) {
+	cfg := windowConfig()
+	w, err := NewWindow(WindowOptions{Length: time.Hour, Config: cfg, TrackMonitors: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := setA(100)
+	for _, tc := range a {
+		w.Observe(tc)
+	}
+	if _, err := w.Advance(100); err != nil {
+		t.Fatal(err)
+	}
+	first := w.Evidence()
+	if again := w.Evidence(); again != first {
+		t.Fatal("Evidence rebuilt with unchanged contents")
+	}
+	if _, err := w.Advance(101); err != nil { // no-op advance
+		t.Fatal(err)
+	}
+	if w.Evidence() != first {
+		t.Fatal("a contentless Advance rebuilt the Evidence")
+	}
+	wantA, _ := batchOver(t, a, cfg, true)
+	sameEvidence(t, "first", first, wantA)
+	if len(first.Monitors) == 0 {
+		t.Fatal("no monitor attribution in the window's Evidence")
+	}
+
+	b := setB(130)
+	for _, tc := range b {
+		w.Observe(tc)
+	}
+	if _, err := w.Advance(130); err != nil {
+		t.Fatal(err)
+	}
+	second := w.Evidence()
+	if second == first {
+		t.Fatal("Evidence not rebuilt after new traces")
+	}
+	sameEvidence(t, "first after a change", first, wantA)
+	wantAB, _ := batchOver(t, append(slices.Clone(a), b...), cfg, true)
+	sameEvidence(t, "second", second, wantAB)
+}

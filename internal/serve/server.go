@@ -270,6 +270,8 @@ func (s *Server) publishWindowLocked(added int, now int64) (IngestSummary, error
 	if err != nil {
 		return IngestSummary{}, fmt.Errorf("%w: %w", errBadCorpus, err)
 	}
+	// Evidence hands back what Advance's recompute ran on (read-only),
+	// so a publish materialises the window's evidence once.
 	snap := snapshot.Build(res, s.win.Evidence())
 	s.run.Store(&runInfo{
 		diag:       res.Diag,

@@ -132,8 +132,8 @@ type (
 	// Collector accumulates evidence incrementally without retaining
 	// traces.
 	Collector = core.Collector
-	// ParallelCollector is a sharded Collector that sanitises and
-	// deduplicates across worker goroutines with byte-identical output.
+	// ParallelCollector is a Collector that sanitises and deduplicates
+	// across worker goroutines with byte-identical output.
 	ParallelCollector = core.ParallelCollector
 	// Evidence is the distilled algorithm input.
 	Evidence = core.Evidence
@@ -150,7 +150,7 @@ type (
 // NewCollector returns an empty streaming collector.
 func NewCollector() *Collector { return core.NewCollector() }
 
-// NewParallelCollector returns an empty sharded streaming collector;
+// NewParallelCollector returns an empty parallel streaming collector;
 // workers < 1 means runtime.GOMAXPROCS(0).
 func NewParallelCollector(workers int) *ParallelCollector {
 	return core.NewParallelCollector(workers)
